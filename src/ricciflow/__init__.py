@@ -1,4 +1,15 @@
-"""Normalized Ricci flow on closed triangulated surfaces with spectral audits."""
+"""Normalized Ricci flow on closed triangulated surfaces with spectral audits.
+
+``RICCIFLOW_THREADS``, when set, overrides ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` here, before the package
+imports numpy; it has no effect if numpy was imported first.
+"""
+
+import os as _os
+
+if _os.environ.get("RICCIFLOW_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ[_var] = _os.environ["RICCIFLOW_THREADS"]
 
 from .bounds import (
     BoundCheck,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError
+from .flow import central_difference
 from .geometry import current_lengths
 
 DEFAULT_C_DISC = 10.0
@@ -187,13 +188,8 @@ def corridor_check_series(times, values, flagged, r, alpha, beta, h, branches, c
         for j in range(1, times.shape[0] - 1):
             if flagged[b, j - 1 : j + 2].any() or np.any(vals[j - 1 : j + 2] <= 0.0):
                 continue
-            h1 = times[j] - times[j - 1]
-            h2 = times[j + 1] - times[j]
-            logs = np.log(vals[j - 1 : j + 2])
-            der = (
-                h1 * h1 * logs[2] - h2 * h2 * logs[0] + (h2 * h2 - h1 * h1) * logs[1]
-            ) / (h1 * h2 * (h1 + h2))
-            dt_loc = max(h1, h2)
+            der = central_difference(times[j - 1 : j + 2], np.log(vals[j - 1 : j + 2]))
+            dt_loc = max(times[j] - times[j - 1], times[j + 1] - times[j])
             tol = c_disc * h * h * abs(r) + (dt_loc * abs(r)) ** 2 * abs(r)
             lo = alpha * np.exp(r * times[j])
             hi = -r * np.exp(beta * times[j])

@@ -5,9 +5,9 @@ failed, and 2 on errors (reported as a single JSON object on stdout so
 failures stay machine-readable).
 
 The ``RICCIFLOW_THREADS`` environment variable caps the numeric thread
-pools (default: all logical processors); it is applied before the numeric
-stack is imported, and results are deterministic at the documented
-tolerances regardless of its value.
+pools (default: all logical processors); importing the package, before numpy,
+applies it. Results are deterministic at the documented tolerances
+regardless of its value.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ import argparse
 import json
 import os
 import sys
-
-
-def _apply_thread_env():
-    threads = os.environ.get("RICCIFLOW_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+from dataclasses import replace as dc_replace
 
 
 def make_parser():
@@ -61,7 +55,6 @@ def make_parser():
 
 
 def main(argv=None):
-    _apply_thread_env()
     args = make_parser().parse_args(argv)
     from .errors import RicciFlowError
 
@@ -132,12 +125,8 @@ def _load_config(args):
     if args.out:
         updates["output_dir"] = args.out
     if args.seed is not None:
-        from dataclasses import replace as dc_replace
-
         updates["flow"] = dc_replace(config.flow, seed=args.seed)
     if updates:
-        from dataclasses import replace as dc_replace
-
         config = dc_replace(config, **updates)
     return config
 

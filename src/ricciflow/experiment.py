@@ -97,14 +97,16 @@ class ExperimentConfig:
         specs = []
         for entry in perts:
             _reject_unknown(entry, {"amplitude", "seed"}, "perturbations")
-            specs.append(
-                PerturbationSpec(float(entry.get("amplitude", 0.0)), int(entry.get("seed", 0)))
-            )
+            amplitude = _finite(entry.get("amplitude", 0.0), "perturbation amplitude")
+            specs.append(PerturbationSpec(amplitude, int(entry.get("seed", 0))))
 
         flow_data = dict(data.get("flow", {}))
         valid_flow = set(FlowConfig.__dataclass_fields__)
         _reject_unknown(flow_data, valid_flow, "flow")
-        flow = FlowConfig(**flow_data)
+        try:
+            flow = FlowConfig(**flow_data)
+        except ValueError as exc:
+            raise ConfigError(f"invalid flow settings: {exc}") from exc
 
         emit = dict(data.get("emit", {}))
         _reject_unknown(emit, {"trace_csv", "spectrum_csv", "report_json", "plot_data"}, "emit")
@@ -123,10 +125,10 @@ class ExperimentConfig:
             emit_spectrum_csv=bool(emit.get("spectrum_csv", True)),
             emit_report_json=bool(emit.get("report_json", True)),
             emit_plot_data=bool(emit.get("plot_data", False)),
-            c_disc=float(checks.get("c_disc", bnd.DEFAULT_C_DISC)),
-            tol_ratio=float(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO)),
-            overlap_min=float(checks.get("overlap_min", 0.6)),
-            gap_tol=float(checks.get("gap_tol", 1e-3)),
+            c_disc=_finite(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc"),
+            tol_ratio=_finite(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio"),
+            overlap_min=_finite(checks.get("overlap_min", 0.6), "overlap_min"),
+            gap_tol=_finite(checks.get("gap_tol", 1e-3), "gap_tol"),
         )
 
     def to_dict(self):
@@ -155,6 +157,14 @@ class ExperimentConfig:
             },
             "output_dir": self.output_dir,
         }
+
+
+def _finite(value, name):
+    # json.load accepts NaN and Infinity, so parsed numbers need this check
+    value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _reject_unknown(mapping, allowed, where):

@@ -16,7 +16,6 @@ import warnings as _warnings
 from dataclasses import dataclass, field as _field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DegenerateTriangleError,
@@ -53,7 +52,7 @@ class FlowConfig:
         if not 0.0 < self.safety < 1.0:
             raise ValueError("safety must lie in (0, 1)")
         for name in ("dt_init", "dt_min", "area_tolerance", "convergence_tol", "t_max", "eig_tol"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
         if self.spectrum_every < 1 or self.k < 1:
             raise ValueError("spectrum_every and k must be positive integers")
@@ -116,76 +115,15 @@ class FlowTrace:
 
 
 class _Workspace:
-    """Precomputed index structure for fast curvature evaluations.
+    """A mesh's geometry kernel plus the squared base lengths of one flow.
 
-    The hot loop works with squared lengths throughout: angles come from
-    ``atan2(4 * area, b^2 + c^2 - a^2)``, per-vertex angle sums from a
-    presorted segment reduction, and dual areas from a fixed sparse
-    incidence matrix. Everything here is deterministic.
+    The hot loop works with squared lengths throughout, so each velocity
+    costs one kernel evaluation and no length square roots.
     """
 
     def __init__(self, mesh, base_lengths):
-        self.mesh = mesh
-        tri = mesh.triangles
-        n = mesh.vertex_count
-        f_count = tri.shape[0]
-        self.edge0 = mesh.edges[:, 0]
-        self.edge1 = mesh.edges[:, 1]
+        self.kernel = mesh.kernel
         self.base_sq = base_lengths * base_lengths
-        self.tri_edges = mesh.triangle_edges
-        self.tri = tri
-        corners = tri.reshape(-1)
-        self.corner_order = np.argsort(corners, kind="stable")
-        self.corner_starts = np.searchsorted(corners[self.corner_order], np.arange(n))
-        self.dual_sum = sparse.csr_matrix(
-            (
-                np.full(3 * f_count, 1.0 / 3.0),
-                (corners, np.repeat(np.arange(f_count), 3)),
-            ),
-            shape=(n, f_count),
-        )
-        self.four_pi_chi = 4.0 * np.pi * mesh.chi
-
-    def curvature(self, u, with_gradient=False):
-        """CurvatureField of the metric with factors ``u`` (fast path).
-
-        With ``with_gradient`` also returns the per-corner area gradient
-        ``dA_T/du`` needed by the area-preserving velocity.
-        """
-        w = np.exp(u)
-        sq_edge = self.base_sq * w[self.edge0] * w[self.edge1]
-        q = sq_edge[self.tri_edges]
-        q0, q1, q2 = q[:, 0], q[:, 1], q[:, 2]
-        s = q0 + q1 + q2
-        s16 = s * s - 2.0 * (q0 * q0 + q1 * q1 + q2 * q2)
-        if s16.min() <= 0.0:
-            face = int(np.argmin(s16))
-            raise TriangleInequalityError(
-                f"triangle inequality violated in face {face}", face=face
-            )
-        area = 0.25 * np.sqrt(s16)
-        cos_terms = s[:, None] - 2.0 * q
-        angles = np.arctan2((4.0 * area)[:, None], cos_terms)
-        angle_sum = np.add.reduceat(
-            angles.reshape(-1).take(self.corner_order), self.corner_starts
-        )
-        dual = self.dual_sum @ area
-        defect = 2.0 * np.pi - angle_sum
-        scalar = 2.0 * defect / dual
-        total = float(area.sum())
-        field = CurvatureField(
-            defect=defect,
-            dual_area=dual,
-            R=scalar,
-            r=self.four_pi_chi / total,
-            R_min=float(scalar.min()),
-            R_max=float(scalar.max()),
-            total_area=total,
-        )
-        if not with_gradient:
-            return field
-        grad = _corner_area_gradient(q, cos_terms, area)
-        return field, grad
 
     def velocity(self, u):
         """Area-preserving flow velocity (r_hat - R)/2 plus its field.
@@ -197,19 +135,11 @@ class _Workspace:
         per-step renormalization stays at integrator-error size and the
         scheme keeps its full order.
         """
-        field, grad = self.curvature(u, with_gradient=True)
-        corner_dev = field.r - field.R[self.tri]
+        sq = self.kernel.squared_lengths(self.base_sq, u)
+        field, grad = self.kernel.curvature(sq, with_gradient=True)
+        corner_dev = field.r - field.R[self.kernel.triangles]
         shift = -float(np.sum(grad * corner_dev)) / (4.0 * field.total_area)
         return 0.5 * (field.r - field.R) + shift, field
-
-
-def _corner_area_gradient(q, cos_terms, area):
-    """dA_T/du at each corner: (adjacent sq-lengths, cotan weighted)/4.
-
-    Row sums equal 2*A_T exactly, the uniform-scaling identity.
-    """
-    p = q * cos_terms
-    return area[:, None] - p / (16.0 * area)[:, None]
 
 
 def _rescaled_field(fld, c, four_pi_chi, target_area):
@@ -253,7 +183,7 @@ def _rk4(ws, u, v1, dt, target_area):
     u_next += 0.5 * np.log(c)
     # uniform scaling leaves angles (hence R*area-type products) intact, so
     # the velocity of the renormalized state is the raw one rescaled
-    return u_next, _rescaled_field(f_raw, c, ws.four_pi_chi, target_area), v_raw / c
+    return u_next, _rescaled_field(f_raw, c, ws.kernel.four_pi_chi, target_area), v_raw / c
 
 
 def step(metric, dt):
@@ -265,8 +195,8 @@ def step(metric, dt):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     ws = _Workspace(metric.mesh, metric.base_lengths)
-    v1, _ = ws.velocity(metric.u)
-    u_next, _, _ = _rk4(ws, metric.u, v1, dt, ws.curvature(metric.u).total_area)
+    v1, fld = ws.velocity(metric.u)
+    u_next, _, _ = _rk4(ws, metric.u, v1, dt, fld.total_area)
     return metric.with_u(u_next)
 
 
@@ -300,6 +230,8 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
     FlowAbortError
         If step rejection drives dt below ``dt_min`` (the partial trace is
         attached as ``exc.trace``).
+    TriangleInequalityError
+        If the initial state has a broken face or a non-finite value.
     """
     mesh = metric.mesh
     ws = _Workspace(mesh, metric.base_lengths)
@@ -472,27 +404,24 @@ def curvature_pde_residual(trace, sample_index):
     samples = trace.samples
     if not 0 < sample_index < len(samples) - 1:
         raise IndexError("sample_index needs both time neighbors")
-    s_prev, s_mid, s_next = (
-        samples[sample_index - 1],
-        samples[sample_index],
-        samples[sample_index + 1],
-    )
-    dr_dt = _central_difference(
-        s_prev.t, s_mid.t, s_next.t, s_prev.curvature.R, s_mid.curvature.R, s_next.curvature.R
-    )
+    trio = samples[sample_index - 1 : sample_index + 2]
+    dr_dt = central_difference([s.t for s in trio], [s.curvature.R for s in trio])
+    fld = trio[1].curvature
     metric = trace.metric_at(sample_index)
     stiffness, mass = assemble_operators(metric)
-    lap_R = -(stiffness @ s_mid.curvature.R) / mass
-    reaction = s_mid.curvature.R * (s_mid.curvature.R - s_mid.curvature.r)
+    lap_R = -(stiffness @ fld.R) / mass
+    reaction = fld.R * (fld.R - fld.r)
     return dr_dt - lap_R - reaction
 
 
-def _central_difference(t_prev, t_mid, t_next, f_prev, f_mid, f_next):
-    h1 = t_mid - t_prev
-    h2 = t_next - t_mid
-    return (
-        h1 * h1 * f_next - h2 * h2 * f_prev + (h2 * h2 - h1 * h1) * f_mid
-    ) / (h1 * h2 * (h1 + h2))
+def central_difference(t, f):
+    """Second-order derivative at ``t[1]`` from values ``f`` at nonuniform times ``t``.
+
+    The ``f[i]`` may be scalars or arrays of one shape.
+    """
+    h1 = t[1] - t[0]
+    h2 = t[2] - t[1]
+    return (h1 * h1 * f[2] - h2 * h2 * f[0] + (h2 * h2 - h1 * h1) * f[1]) / (h1 * h2 * (h1 + h2))
 
 
 def monotonicity_violations(trace, transient_steps=5, threshold=None):

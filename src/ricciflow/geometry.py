@@ -6,9 +6,14 @@ curvature) is derived from the current lengths
 
     l_e = exp((u_i + u_j) / 2) * l0_e,     e = (i, j).
 
-Corner angles come from the law of cosines in the numerically stable
-``atan2(4 * area, ...)`` form, so the three angles of a face sum to pi at
-machine precision and angle defects telescope to 2 * pi * chi combinatorially.
+All of it comes from one per-mesh :class:`MeshKernel` working on squared
+lengths: for a face with squared side lengths ``q_k`` (side ``k`` opposite
+corner ``k``) and ``s = q_0 + q_1 + q_2``, ``16 A^2 = s^2 - 2 sum q_k^2``, the
+law-of-cosines term at corner ``k`` is ``s - 2 q_k = b^2 + c^2 - a^2``, the
+corner angle is ``atan2(4 A, s - 2 q_k)`` and its cotangent
+``(s - 2 q_k) / (4 A)``. In this stable form the three angles of a face sum
+to pi at machine precision and angle defects telescope to 2 * pi * chi
+combinatorially.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DegenerateTriangleError,
@@ -25,6 +31,8 @@ from .errors import (
 from .mesh import TriangleMesh
 
 DEGENERACY_TOL = 1e-12
+# A <= DEGENERACY_TOL * mean(q) with mean(q) = s / 3, as a bound on 16 A^2 / s^2
+_DEGENERATE_16A2 = 16.0 * (DEGENERACY_TOL / 3.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -83,92 +91,130 @@ class CurvatureField:
         return max(self.R_max - self.r, self.r - self.R_min)
 
 
+def squared_lengths(metric):
+    """Squared current edge lengths ``e^{u_i} e^{u_j} l0_e^2`` (no face check)."""
+    base = metric.base_lengths
+    return metric.mesh.kernel.squared_lengths(base * base, metric.u)
+
+
 def current_lengths(metric):
     """Current edge lengths ``exp((u_i + u_j)/2) * base``.
 
     Raises :class:`TriangleInequalityError` if any face degenerates, which
     signals the caller (typically the flow driver) to shrink its step.
     """
-    mesh = metric.mesh
-    e0, e1 = mesh.edges[:, 0], mesh.edges[:, 1]
-    lengths = metric.base_lengths * np.exp(0.5 * (metric.u[e0] + metric.u[e1]))
-    _check_triangle_inequality(mesh, lengths)
-    return lengths
-
-
-def _check_triangle_inequality(mesh, lengths):
-    opp = lengths[mesh.triangle_edges]
-    slack = opp.sum(axis=1) - 2.0 * opp.max(axis=1)
-    if np.any(slack <= 0.0):
-        face = int(np.argmin(slack))
-        raise TriangleInequalityError(
-            f"triangle inequality violated in face {face}", face=face
-        )
-
-
-def face_quantities(mesh, sq_opp):
-    """Areas and law-of-cosines terms from squared opposite-edge lengths.
-
-    Returns ``(area, cos_terms)`` where ``cos_terms[:, k] = b^2 + c^2 - a^2``
-    for the angle at corner ``k`` (opposite squared length ``a^2``). The
-    corner angle is ``atan2(4 * area, cos_terms)`` and its cotangent is
-    ``cos_terms / (4 * area)``.
-    """
-    q0, q1, q2 = sq_opp[:, 0], sq_opp[:, 1], sq_opp[:, 2]
-    sixteen_sq = 2.0 * (q0 * q1 + q1 * q2 + q2 * q0) - (q0 * q0 + q1 * q1 + q2 * q2)
-    scale = sq_opp.mean(axis=1)
-    bad = sixteen_sq <= 16.0 * (DEGENERACY_TOL * scale) ** 2
-    if np.any(bad):
-        face = int(np.argmax(bad))
-        raise DegenerateTriangleError(f"degenerate face {face}")
-    area = 0.25 * np.sqrt(sixteen_sq)
-    cos_terms = np.empty_like(sq_opp)
-    cos_terms[:, 0] = q1 + q2 - q0
-    cos_terms[:, 1] = q2 + q0 - q1
-    cos_terms[:, 2] = q0 + q1 - q2
-    return area, cos_terms
-
-
-def corner_angles(mesh, lengths):
-    """Corner angles per face, ``angles[t, k]`` at corner ``k``."""
-    sq = lengths * lengths
-    area, cos_terms = face_quantities(mesh, sq[mesh.triangle_edges])
-    return np.arctan2(4.0 * area[:, None], cos_terms), area
+    sq = squared_lengths(metric)
+    metric.mesh.kernel.faces(sq)
+    return np.sqrt(sq)
 
 
 def measure_curvature(metric):
     """Angle defects, dual areas, and scalar curvature of a metric."""
-    lengths = current_lengths(metric)
-    angles, area = corner_angles(metric.mesh, lengths)
-    return curvature_from_faces(metric.mesh, angles, area)
-
-
-def curvature_from_faces(mesh, angles, area):
-    flat = mesh.triangles.reshape(-1)
-    angle_sum = np.bincount(flat, weights=angles.reshape(-1), minlength=mesh.vertex_count)
-    dual = np.bincount(
-        flat, weights=np.repeat(area / 3.0, 3), minlength=mesh.vertex_count
-    )
-    defect = 2.0 * np.pi - angle_sum
-    scalar = 2.0 * defect / dual
-    total = float(area.sum())
-    return CurvatureField(
-        defect=defect,
-        dual_area=dual,
-        R=scalar,
-        r=4.0 * np.pi * mesh.chi / total,
-        R_min=float(scalar.min()),
-        R_max=float(scalar.max()),
-        total_area=total,
-    )
+    return metric.mesh.kernel.curvature(squared_lengths(metric))
 
 
 def metric_area(metric):
     """Total area of the current metric."""
-    lengths = current_lengths(metric)
-    sq = lengths * lengths
-    area, _ = face_quantities(metric.mesh, sq[metric.mesh.triangle_edges])
+    _, area, _ = metric.mesh.kernel.faces(squared_lengths(metric))
     return float(area.sum())
+
+
+class MeshKernel:
+    """Index structures of one mesh that turn squared edge lengths into geometry.
+
+    Built once per mesh and cached on it as :attr:`TriangleMesh.kernel`;
+    read-only, so threads may share it. :meth:`faces` is the one place where
+    areas and law-of-cosines terms are computed.
+    """
+
+    def __init__(self, mesh):
+        n = self.vertex_count = mesh.vertex_count
+        self.triangles = mesh.triangles
+        self.triangle_edges = mesh.triangle_edges
+        self.edge0 = mesh.edges[:, 0]
+        self.edge1 = mesh.edges[:, 1]
+        self.four_pi_chi = 4.0 * np.pi * mesh.chi
+        # corner-to-vertex incidence, and the dual area as a sparse matrix
+        self.corners = mesh.triangles.reshape(-1)
+        owner = np.repeat(np.arange(mesh.triangle_count), 3)
+        self.dual_sum = sparse.csr_matrix(
+            (np.full(owner.size, 1.0 / 3.0), (self.corners, owner)),
+            shape=(n, mesh.triangle_count),
+        )
+        # Fixed CSR pattern of L; csr_order puts its entries, listed as the
+        # diagonal and then every edge both ways, into CSR order.
+        rows = np.concatenate([np.arange(n), self.edge0, self.edge1])
+        cols = np.concatenate([np.arange(n), self.edge1, self.edge0])
+        self.csr_order = np.lexsort((cols, rows))
+        self.csr_indices = cols[self.csr_order]
+        self.csr_indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+
+    def squared_lengths(self, base_sq, u):
+        w = np.exp(u)
+        return base_sq * w[self.edge0] * w[self.edge1]
+
+    def faces(self, sq):
+        """Per-face ``(q, area, cos_terms)`` from squared edge lengths ``sq``.
+
+        ``q[t, k]`` is the squared length opposite corner ``k`` of face ``t``
+        and ``cos_terms[t, k] = s - 2 q[t, k]`` (see the module docstring).
+        Raises :class:`TriangleInequalityError` if some face has
+        ``16 A^2 <= 0`` or a non-finite value, and
+        :class:`DegenerateTriangleError` if ``A <= DEGENERACY_TOL * mean(q)``.
+        """
+        q = sq[self.triangle_edges]
+        q0, q1, q2 = q[:, 0], q[:, 1], q[:, 2]
+        s = q0 + q1 + q2
+        ss = s * s
+        s16 = ss - 2.0 * (q0 * q0 + q1 * q1 + q2 * q2)
+        if not s16.min() > 0.0:  # written so that NaN fails too
+            face = int(np.argmin(s16))
+            raise TriangleInequalityError(
+                f"triangle inequality violated in face {face}", face=face
+            )
+        degenerate = s16 <= _DEGENERATE_16A2 * ss
+        if degenerate.any():
+            raise DegenerateTriangleError(f"degenerate face {int(np.argmax(degenerate))}")
+        area = 0.25 * np.sqrt(s16)
+        return q, area, s[:, None] - 2.0 * q
+
+    def curvature(self, sq, with_gradient=False):
+        """CurvatureField of the metric with squared edge lengths ``sq``.
+
+        With ``with_gradient`` also returns the per-corner area gradient
+        ``dA_T/du``: (adjacent squared lengths, cotangent weighted) / 4, whose
+        rows sum to ``2 A_T`` exactly, the uniform-scaling identity.
+        """
+        q, area, cos_terms = self.faces(sq)
+        angles = np.arctan2((4.0 * area)[:, None], cos_terms)
+        angle_sum = np.bincount(self.corners, angles.reshape(-1), self.vertex_count)
+        dual = self.dual_sum @ area
+        defect = 2.0 * np.pi - angle_sum
+        scalar = 2.0 * defect / dual
+        total = float(area.sum())
+        field = CurvatureField(
+            defect=defect,
+            dual_area=dual,
+            R=scalar,
+            r=self.four_pi_chi / total,
+            R_min=float(scalar.min()),
+            R_max=float(scalar.max()),
+            total_area=total,
+        )
+        if not with_gradient:
+            return field
+        return field, area[:, None] - (q * cos_terms) / (16.0 * area)[:, None]
+
+    def operators(self, sq):
+        """``(L, mass)`` as documented in :func:`ricciflow.spectrum.assemble_operators`."""
+        n = self.vertex_count
+        _, area, cos_terms = self.faces(sq)
+        half_cot = (cos_terms / (8.0 * area[:, None])).reshape(-1)
+        weight = np.bincount(self.triangle_edges.reshape(-1), weights=half_cot)
+        diag = np.bincount(self.edge0, weight, n) + np.bincount(self.edge1, weight, n)
+        entries = np.concatenate([diag, -weight, -weight])[self.csr_order]
+        stiffness = sparse.csr_matrix((entries, self.csr_indices, self.csr_indptr), shape=(n, n))
+        return stiffness, self.dual_sum @ area
 
 
 def scale_metric(metric, c):

@@ -7,7 +7,9 @@ files are used once, to seed base edge lengths, and then discarded.
 
 from __future__ import annotations
 
+import functools
 import io
+
 import numpy as np
 
 from .errors import (
@@ -151,6 +153,13 @@ class TriangleMesh:
             raise DisconnectedError(
                 f"triangle adjacency graph has {len(roots)} components"
             )
+
+    @functools.cached_property
+    def kernel(self):
+        """The :class:`ricciflow.geometry.MeshKernel` of this mesh, built on first use."""
+        from .geometry import MeshKernel
+
+        return MeshKernel(self)
 
     @property
     def edge_count(self):
@@ -325,14 +334,8 @@ def generate_genus2(subdivision_level):
     if mesh.chi != -2:
         raise MeshInvariantError(f"generator produced chi={mesh.chi}")
 
-    defects = _vertex_defects(mesh, lengths)
-    if np.any(defects >= 0.0):
-        lengths = _smooth_lengths_once(mesh, lengths)
-        defects = _vertex_defects(mesh, lengths)
-        if np.any(defects >= 0.0):
-            raise MeshInvariantError(
-                "generated metric has non-negative curvature after smoothing"
-            )
+    if np.any(mesh.kernel.curvature(lengths * lengths).defect >= 0.0):
+        raise MeshInvariantError("generated metric has non-negative curvature")
     return mesh, lengths
 
 
@@ -605,30 +608,3 @@ def _extract_mesh(nv, tv, txyz, twin):
     if np.any(lengths <= 0.0):
         raise MeshInvariantError("generator failed to assign all edge lengths")
     return mesh, lengths
-
-
-def _vertex_defects(mesh, lengths):
-    opp = lengths[mesh.triangle_edges]  # length opposite each corner
-    a, b, c = opp[:, 0], opp[:, 1], opp[:, 2]
-    angles = np.empty_like(opp)
-    angles[:, 0] = np.arccos(np.clip((b * b + c * c - a * a) / (2 * b * c), -1, 1))
-    angles[:, 1] = np.arccos(np.clip((a * a + c * c - b * b) / (2 * a * c), -1, 1))
-    angles[:, 2] = np.arccos(np.clip((a * a + b * b - c * c) / (2 * a * b), -1, 1))
-    sums = np.bincount(
-        mesh.triangles.reshape(-1), weights=angles.reshape(-1), minlength=mesh.vertex_count
-    )
-    return 2.0 * np.pi - sums
-
-
-def _smooth_lengths_once(mesh, lengths):
-    # One conservative flow-free pass: blend each log-length toward the mean
-    # log-length of the four other edges of its two incident faces.
-    log_l = np.log(lengths)
-    acc = np.zeros_like(log_l)
-    cnt = np.zeros_like(log_l)
-    face_sum = log_l[mesh.triangle_edges].sum(axis=1)
-    for k in range(3):
-        e = mesh.triangle_edges[:, k]
-        np.add.at(acc, e, face_sum - log_l[e])
-        np.add.at(cnt, e, 2.0)
-    return np.exp(0.5 * log_l + 0.5 * acc / cnt)

@@ -11,7 +11,10 @@ timestamp lives on its own line and is easy to exclude from comparisons.
 from __future__ import annotations
 
 import json
+
 import numpy as np
+
+from .errors import ConfigError
 
 TRACE_COLUMNS = ("t", "dt", "area", "r", "R_min", "R_max", "max_abs_R_minus_r")
 
@@ -38,11 +41,21 @@ def write_trace_csv(path, trace):
             fh.write(",".join(format_float(columns[c][i]) for c in TRACE_COLUMNS) + "\n")
 
 
-def read_trace_csv(path):
+def _read_csv(path):
+    """Header and float rows of a CSV artifact; ConfigError if truncated or malformed."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(x) for x in row] for row in rows])
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"{path} is truncated: no data rows, or a row of the wrong length")
+    try:
+        return header, np.array([[float(x) for x in row] for row in rows])
+    except ValueError as exc:
+        raise ConfigError(f"malformed {path}: {exc}") from exc
+
+
+def read_trace_csv(path):
+    header, data = _read_csv(path)
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
@@ -66,11 +79,8 @@ def write_spectrum_csv(path, branch_set):
 
 
 def read_spectrum_csv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    header, data = _read_csv(path)
     k = sum(1 for name in header if name.startswith("branch_"))
-    data = np.array([[float(x) for x in row] for row in rows])
     out = {
         "times": data[:, 0],
         "values": data[:, 1 : 1 + k].T,

@@ -16,7 +16,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import EigensolverError
-from .geometry import current_lengths, face_quantities
+from .geometry import squared_lengths
 
 
 @dataclass(frozen=True)
@@ -53,28 +53,7 @@ def assemble_operators(metric):
         ``L`` with edge weights -(cot t1 + cot t2)/2 off the diagonal and
         zero row sums, and the positive dual-area vector ``mass``.
     """
-    mesh = metric.mesh
-    lengths = current_lengths(metric)
-    sq = lengths * lengths
-    area, cos_terms = face_quantities(mesh, sq[mesh.triangle_edges])
-    half_cot = cos_terms / (8.0 * area[:, None])
-
-    tri = mesh.triangles
-    n = mesh.vertex_count
-    rows, cols, vals = [], [], []
-    for k in range(3):
-        p = tri[:, (k + 1) % 3]
-        q = tri[:, (k + 2) % 3]
-        w = half_cot[:, k]
-        rows.extend([p, q, p, q])
-        cols.extend([q, p, p, q])
-        vals.extend([-w, -w, w, w])
-    stiffness = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    mass = np.bincount(tri.reshape(-1), weights=np.repeat(area / 3.0, 3), minlength=n)
-    return stiffness, mass
+    return metric.mesh.kernel.operators(squared_lengths(metric))
 
 
 def smallest_eigenpairs(stiffness, mass, k, tol, seed, t=0.0):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCrossingError
+from .flow import central_difference
 
 DEFAULT_OVERLAP_MIN = 0.6
 DEFAULT_GAP_TOL = 1e-3  # relative to the largest computed eigenvalue
@@ -182,13 +183,7 @@ def branch_log_derivative(branch_set, branch, time_index, scheme="central"):
         stencil = vals[time_index - 1 : time_index + 2]
         if np.any(stencil <= 0.0):
             raise ValueError("log derivative needs positive branch values")
-        logs = np.log(stencil)
-        h1 = times[time_index] - times[time_index - 1]
-        h2 = times[time_index + 1] - times[time_index]
-        return float(
-            (h1 * h1 * logs[2] - h2 * h2 * logs[0] + (h2 * h2 - h1 * h1) * logs[1])
-            / (h1 * h2 * (h1 + h2))
-        )
+        return float(central_difference(times[time_index - 1 : time_index + 2], np.log(stencil)))
     if scheme == "one_sided":
         j2 = time_index + 1 if time_index + 1 < n_times else time_index - 1
         pair = vals[[time_index, j2]]
@@ -232,13 +227,8 @@ def evolution_formula_residual(trace, branch_set, branch, time_index, eps_floor=
     fld = samples[time_index].curvature
     rhs = lam * float(np.sum((fld.R - fld.r) * phi * phi * fld.dual_area))
 
-    vals = branch_set.values[branch, time_index - 1 : time_index + 2]
-    h1 = times[time_index] - times[time_index - 1]
-    h2 = times[time_index + 1] - times[time_index]
-    fd = float(
-        (h1 * h1 * vals[2] - h2 * h2 * vals[0] + (h2 * h2 - h1 * h1) * vals[1])
-        / (h1 * h2 * (h1 + h2))
-    )
+    stencil = slice(time_index - 1, time_index + 2)
+    fd = float(central_difference(times[stencil], branch_set.values[branch, stencil]))
     scale = abs(lam) * fld.max_deviation() + eps_floor * abs(lam)
     return fd, rhs, abs(fd - rhs) / scale
 
@@ -285,13 +275,8 @@ def dual_area_rate_residuals(trace, active_dev=None, activity_floor=0.1):
         dev = mid.max_deviation()
         if dev < active_dev:
             continue
-        h1 = samples[j].t - samples[j - 1].t
-        h2 = samples[j + 1].t - samples[j].t
-        prev_d = samples[j - 1].curvature.dual_area
-        next_d = samples[j + 1].curvature.dual_area
-        fd = (
-            h1 * h1 * next_d - h2 * h2 * prev_d + (h2 * h2 - h1 * h1) * mid.dual_area
-        ) / (h1 * h2 * (h1 + h2))
+        trio = samples[j - 1 : j + 2]
+        fd = central_difference([s.t for s in trio], [s.curvature.dual_area for s in trio])
         rhs = (mid.r - mid.R) * mid.dual_area
         mask = np.abs(mid.R - mid.r) >= activity_floor * dev
         if mask.any():
@@ -318,17 +303,12 @@ def normalization_rate_residuals(trace, branch_set, branches, active_dev=None):
         dev = fld.max_deviation()
         if dev < active_dev:
             continue
-        h1 = branch_set.times[j] - branch_set.times[j - 1]
-        h2 = branch_set.times[j + 1] - branch_set.times[j]
         for b in branches:
             if branch_set.flagged[b, j - 1 : j + 2].any():
                 continue
-            phi_prev = branch_set.vectors[j - 1][:, b]
-            phi_mid = branch_set.vectors[j][:, b]
-            phi_next = branch_set.vectors[j + 1][:, b]
-            dphi = (
-                h1 * h1 * phi_next - h2 * h2 * phi_prev + (h2 * h2 - h1 * h1) * phi_mid
-            ) / (h1 * h2 * (h1 + h2))
+            phis = [v[:, b] for v in branch_set.vectors[j - 1 : j + 2]]
+            dphi = central_difference(branch_set.times[j - 1 : j + 2], phis)
+            phi_mid = phis[1]
             lhs = 2.0 * float(np.sum(phi_mid * dphi * fld.dual_area))
             rhs = float(np.sum(phi_mid * phi_mid * fld.R * fld.dual_area)) - fld.r
             errors.append(abs(lhs - rhs) / dev)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from ricciflow.experiment import (
     run_flow_experiment,
     run_pair_experiment,
 )
-from ricciflow.reporting import read_report_json
+from ricciflow.reporting import read_report_json, write_report_json
 
 
 def _config_dict(**overrides):
@@ -36,6 +39,20 @@ def test_config_rejects_unknown_keys():
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(broken)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"perturbations": [{"amplitude": float("nan"), "seed": 1}]},
+        {"flow": {"dt_init": float("nan")}},
+        {"flow": {"t_max": float("nan")}},
+        {"checks": {"c_disc": float("inf")}},
+    ],
+)
+def test_config_rejects_non_finite_values(overrides):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(_config_dict(**overrides))
 
 
 def test_config_requires_version_and_one_source():
@@ -233,6 +250,36 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "PerturbationError"
+
+
+def test_cli_rejects_nan_amplitude(tmp_path, capsys):
+    # json.load accepts NaN, so the config check has to catch it
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict(perturbations=[{"amplitude": float("nan"), "seed": 1}]))
+    assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+
+
+def test_cli_audit_truncated_trace(tmp_path, capsys):
+    write_report_json(tmp_path / "report.json", {"version": 1, "kind": "flow", "inputs": {}})
+    (tmp_path / "trace.csv").write_text("t,dt,area,r,R_min,R_max,max_abs_R_minus_r\n")
+    assert cli_main(["audit", "--dir", str(tmp_path), "--quiet"]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+
+
+def test_thread_variable_overrides_blas_settings():
+    import ricciflow
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ricciflow.__file__)))
+    env = dict(os.environ, RICCIFLOW_THREADS="1", OPENBLAS_NUM_THREADS="4", PYTHONPATH=src)
+    code = "import os, ricciflow; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"
 
 
 def test_cli_timemap(capsys):

@@ -4,6 +4,7 @@ import pytest
 from ricciflow import (
     FlowAbortError,
     FlowConfig,
+    RicciFlowError,
     TriangleInequalityError,
     curvature_pde_residual,
     measure_curvature,
@@ -148,6 +149,13 @@ def test_run_flow_abort_on_dt_underflow(octagon0, monkeypatch):
     assert info.value.trace.converged is False
 
 
+def test_run_flow_rejects_non_finite_state(octagon0):
+    u = octagon0.u.copy()
+    u[3] = np.nan
+    with pytest.raises(RicciFlowError):
+        run_flow(octagon0.with_u(u), FlowConfig(spectrum_every=10, k=4))
+
+
 def test_integrator_consistency_across_dt(octagon0):
     metric = _rough_state(octagon0)
     t_end = 8e-3
@@ -276,3 +284,5 @@ def test_flow_config_validation():
         FlowConfig(convergence_tol=0.0)
     with pytest.raises(ValueError):
         FlowConfig(spectrum_every=0)
+    with pytest.raises(ValueError):
+        FlowConfig(t_max=float("nan"))

@@ -1,11 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricciflow import (
     ConformalMetric,
     PerturbationError,
     TriangleInequalityError,
+    assemble_operators,
     current_lengths,
+    dense_eigenpairs,
     generate_genus2,
     measure_curvature,
     metric_area,
@@ -13,7 +19,7 @@ from ricciflow import (
     perturb_metric,
     scale_metric,
 )
-from ricciflow.geometry import DegenerateTriangleError, corner_angles, face_quantities
+from ricciflow.geometry import squared_lengths
 
 from meshes import flat_torus_metric, icosphere_metric, tetrahedron_metric
 
@@ -79,7 +85,9 @@ def test_gauss_bonnet_random_factors(factory):
 
 
 def test_angle_sums(octagon0):
-    angles, _ = corner_angles(octagon0.mesh, current_lengths(octagon0))
+    # the corner angles measure_curvature sums, from the kernel's face terms
+    _, area, cos_terms = octagon0.mesh.kernel.faces(squared_lengths(octagon0))
+    angles = np.arctan2(4.0 * area[:, None], cos_terms)
     assert np.abs(angles.sum(axis=1) - np.pi).max() < 1e-12
 
 
@@ -163,7 +171,49 @@ def test_triangle_inequality_violation_detected(octagon0):
         current_lengths(octagon0.with_u(u))
 
 
-def test_degenerate_triangle_detected():
-    sq = np.array([[1.0, 1.0, 4.0]])  # exactly collinear: c = a + b
-    with pytest.raises(DegenerateTriangleError):
-        face_quantities(None, sq)
+def test_degenerate_triangle_detected(tetra_metric):
+    # face (0, 1, 2) exactly collinear: c = a + b, so 16 A^2 = 0; the other
+    # three faces are valid
+    mesh = tetra_metric.mesh
+    lengths = np.full(mesh.edge_count, 2.0)
+    lengths[mesh.edge_index([(0, 1), (1, 2)])] = 1.0
+    flat_face = ConformalMetric.flat(mesh, lengths)
+    with pytest.raises(TriangleInequalityError):
+        mesh.kernel.faces(squared_lengths(flat_face))
+    with pytest.raises(TriangleInequalityError):
+        measure_curvature(flat_face)
+
+
+_SMALL_MESHES = {
+    "tetrahedron": tetrahedron_metric,
+    "torus": lambda: flat_torus_metric(6),
+    "icosphere": lambda: icosphere_metric(1),
+    "octagon0": lambda: normalize_area(ConformalMetric.flat(*generate_genus2(0)), 1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _smooth_modes(name):
+    """A small mesh's metric and its lowest nonconstant Laplace eigenvectors."""
+    metric = _SMALL_MESHES[name]()
+    vecs = dense_eigenpairs(*assemble_operators(metric), k=4)[1][:, 1:]
+    return metric, vecs / np.abs(vecs).max(axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_SMALL_MESHES)),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    amplitude=st.floats(-0.3, 0.3),
+)
+def test_kernel_identities_on_smooth_factors(name, coeffs, amplitude):
+    base, modes = _smooth_modes(name)
+    metric = base.with_u(amplitude * (modes @ np.array(coeffs)) / 3.0)
+    fld = measure_curvature(metric)
+    assert abs(fld.defect.sum() - 2.0 * np.pi * metric.mesh.chi) < 1e-9
+    stiffness, mass = assemble_operators(metric)
+    assert abs(stiffness - stiffness.T).max() == 0.0
+    row_sums = stiffness @ np.ones(metric.mesh.vertex_count)
+    assert np.abs(row_sums).max() <= 1e-12 * np.abs(stiffness.diagonal()).max()
+    assert np.isclose(mass.sum(), fld.total_area, rtol=1e-12)
+    assert np.array_equal(mass, fld.dual_area)  # both from one kernel

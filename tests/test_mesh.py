@@ -6,6 +6,7 @@ import pytest
 
 from ricciflow import (
     BoundaryEdgeError,
+    ConformalMetric,
     DisconnectedError,
     MeshFormatError,
     NonManifoldError,
@@ -14,8 +15,8 @@ from ricciflow import (
     euler_genus,
     generate_genus2,
     load_off,
+    measure_curvature,
 )
-from ricciflow.mesh import _vertex_defects
 
 from meshes import BOUNDARY_OFF, NON_MANIFOLD_OFF, NON_ORIENTABLE_OFF, TETRA_OFF
 
@@ -109,10 +110,10 @@ def test_generator_subdivision_recurrence(level):
     assert 3 * mesh.triangle_count == 2 * mesh.edge_count
 
 
-@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_generator_negative_curvature(level):
     mesh, lengths = generate_genus2(level)
-    defects = _vertex_defects(mesh, lengths)
+    defects = measure_curvature(ConformalMetric.flat(mesh, lengths)).defect
     assert (defects < 0.0).all()
     assert abs(defects.sum() - 2.0 * np.pi * mesh.chi) < 1e-9
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ricciflow import track_branches
+from ricciflow import ConfigError, track_branches
 from ricciflow.reporting import (
     canonical_json,
     format_float,
@@ -42,6 +42,15 @@ def test_spectrum_csv_round_trip(run1, tmp_path):
     assert np.array_equal(data["values"], branches.values)
     assert np.array_equal(data["sorted_values"], branches.sorted_values)
     assert np.array_equal(data["flagged"], branches.flagged)
+
+
+@pytest.mark.parametrize("reader", [read_trace_csv, read_spectrum_csv])
+@pytest.mark.parametrize("body", ["", "0.5,1\n"], ids=["header_only", "short_row"])
+def test_truncated_csv_raises_config_error(tmp_path, reader, body):
+    path = tmp_path / "artifact.csv"
+    path.write_text("t,branch_0,sorted_0,flag_0\n" + body)
+    with pytest.raises(ConfigError):
+        reader(path)
 
 
 def test_canonical_json_deterministic_and_sorted():
