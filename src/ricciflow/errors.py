@@ -49,7 +49,12 @@ class TriangleInequalityError(GeometryError):
 
 
 class DegenerateTriangleError(GeometryError):
-    """A face has (numerically) zero area."""
+    """A face has (numerically) zero area.
+
+    Kept for callers that catch it; the geometry kernel no longer raises it
+    and reports every face with ``16 A^2 <= 0`` as a
+    :class:`TriangleInequalityError`.
+    """
 
 
 class PerturbationError(GeometryError):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bounds as bnd
-from .errors import ConfigError, HypothesisError
+from .errors import ConfigError, EigensolverError, HypothesisError
 from .flow import FlowConfig, curvature_pde_residual, monotonicity_violations, run_flow
 from .geometry import ConformalMetric, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
@@ -236,6 +236,11 @@ def _run_one_surface(config, spec, progress=None):
     base = build_base_metric(config)
     metric, window = perturb_metric(base, spec.amplitude, spec.seed)
     trace = run_flow(metric, config.flow, progress=progress)
+    # the ratio and comparison checks read the first and last snapshots as
+    # the spectra at the start and at the end of the flow
+    for sample in (trace.samples[0], trace.samples[-1]):
+        if sample.spectrum is None:
+            raise EigensolverError(f"no spectrum at t={sample.t:.6g}, which the checks need")
     snapshots = trace.snapshots()
     if len(snapshots) >= 2:
         branch_set = track_branches(

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-from .errors import (
-    DegenerateTriangleError,
-    EigensolverError,
-    FlowAbortError,
-    TriangleInequalityError,
-)
+from .errors import EigensolverError, FlowAbortError, TriangleInequalityError
 from .geometry import ConformalMetric, CurvatureField
 from .spectrum import assemble_operators, operator_norm_estimate, smallest_eigenpairs
 
@@ -137,8 +132,8 @@ class _Workspace:
         """
         sq = self.kernel.squared_lengths(self.base_sq, u)
         field, grad = self.kernel.curvature(sq, with_gradient=True)
-        corner_dev = field.r - field.R[self.kernel.triangles]
-        shift = -float(np.sum(grad * corner_dev)) / (4.0 * field.total_area)
+        g = self.kernel.corner_sum @ grad.reshape(-1)  # dA/du per vertex
+        shift = -(field.r * g.sum() - g @ field.R) / (4.0 * field.total_area)
         return 0.5 * (field.r - field.R) + shift, field
 
 
@@ -302,7 +297,7 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
         dt = min(dt, config.t_max - t)
         try:
             u_next, fld_next, vel_next = _rk4(ws, u, vel, dt, target_area)
-        except (TriangleInequalityError, DegenerateTriangleError):
+        except TriangleInequalityError:
             dt *= 0.5
             if dt < config.dt_min:
                 exc = FlowAbortError(

@@ -13,7 +13,9 @@ law-of-cosines term at corner ``k`` is ``s - 2 q_k = b^2 + c^2 - a^2``, the
 corner angle is ``atan2(4 A, s - 2 q_k)`` and its cotangent
 ``(s - 2 q_k) / (4 A)``. In this stable form the three angles of a face sum
 to pi at machine precision and angle defects telescope to 2 * pi * chi
-combinatorially.
+combinatorially. Per-corner arrays are corner-major, shape ``(3, F)``, so
+each of ``q[0]``, ``q[1]``, ``q[2]`` is contiguous; the flattened index of
+corner ``k`` of face ``t`` is ``k * F + t``.
 """
 
 from __future__ import annotations
@@ -23,16 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    DegenerateTriangleError,
-    PerturbationError,
-    TriangleInequalityError,
-)
+from .errors import PerturbationError, TriangleInequalityError
 from .mesh import TriangleMesh
-
-DEGENERACY_TOL = 1e-12
-# A <= DEGENERACY_TOL * mean(q) with mean(q) = s / 3, as a bound on 16 A^2 / s^2
-_DEGENERATE_16A2 = 16.0 * (DEGENERACY_TOL / 3.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -129,17 +123,22 @@ class MeshKernel:
 
     def __init__(self, mesh):
         n = self.vertex_count = mesh.vertex_count
-        self.triangles = mesh.triangles
-        self.triangle_edges = mesh.triangle_edges
+        f = mesh.triangle_count
+        self.edges_by_corner = np.ascontiguousarray(mesh.triangle_edges.T)
         self.edge0 = mesh.edges[:, 0]
         self.edge1 = mesh.edges[:, 1]
         self.four_pi_chi = 4.0 * np.pi * mesh.chi
-        # corner-to-vertex incidence, and the dual area as a sparse matrix
-        self.corners = mesh.triangles.reshape(-1)
-        owner = np.repeat(np.arange(mesh.triangle_count), 3)
+        # V x 3F corner incidence with unit data; each row lists its corners
+        # in face order, so sums over a vertex's corners add in face order
+        corners = mesh.triangles.reshape(-1)
+        by_vertex = np.argsort(corners, kind="stable")  # face-major ids t * 3 + k
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n))])
+        self.corner_sum = sparse.csr_matrix(
+            (np.ones(3 * f), (by_vertex % 3) * f + by_vertex // 3, indptr), shape=(n, 3 * f)
+        )
         self.dual_sum = sparse.csr_matrix(
-            (np.full(owner.size, 1.0 / 3.0), (self.corners, owner)),
-            shape=(n, mesh.triangle_count),
+            (np.full(3 * f, 1.0 / 3.0), (corners, np.repeat(np.arange(f), 3))),
+            shape=(n, f),
         )
         # Fixed CSR pattern of L; csr_order puts its entries, listed as the
         # diagonal and then every edge both ways, into CSR order.
@@ -156,38 +155,34 @@ class MeshKernel:
     def faces(self, sq):
         """Per-face ``(q, area, cos_terms)`` from squared edge lengths ``sq``.
 
-        ``q[t, k]`` is the squared length opposite corner ``k`` of face ``t``
-        and ``cos_terms[t, k] = s - 2 q[t, k]`` (see the module docstring).
-        Raises :class:`TriangleInequalityError` if some face has
-        ``16 A^2 <= 0`` or a non-finite value, and
-        :class:`DegenerateTriangleError` if ``A <= DEGENERACY_TOL * mean(q)``.
+        ``q[k, t]`` is the squared length opposite corner ``k`` of face ``t``
+        and ``cos_terms[k, t] = s - 2 q[k, t]`` (see the module docstring);
+        both have shape ``(3, F)``. Raises :class:`TriangleInequalityError`
+        if some face has ``16 A^2 <= 0`` or a non-finite value.
         """
-        q = sq[self.triangle_edges]
-        q0, q1, q2 = q[:, 0], q[:, 1], q[:, 2]
+        q = sq[self.edges_by_corner]
+        q0, q1, q2 = q
         s = q0 + q1 + q2
-        ss = s * s
-        s16 = ss - 2.0 * (q0 * q0 + q1 * q1 + q2 * q2)
+        s16 = s * s - 2.0 * (q0 * q0 + q1 * q1 + q2 * q2)
         if not s16.min() > 0.0:  # written so that NaN fails too
             face = int(np.argmin(s16))
             raise TriangleInequalityError(
                 f"triangle inequality violated in face {face}", face=face
             )
-        degenerate = s16 <= _DEGENERATE_16A2 * ss
-        if degenerate.any():
-            raise DegenerateTriangleError(f"degenerate face {int(np.argmax(degenerate))}")
         area = 0.25 * np.sqrt(s16)
-        return q, area, s[:, None] - 2.0 * q
+        return q, area, s - 2.0 * q
 
     def curvature(self, sq, with_gradient=False):
         """CurvatureField of the metric with squared edge lengths ``sq``.
 
         With ``with_gradient`` also returns the per-corner area gradient
-        ``dA_T/du``: (adjacent squared lengths, cotangent weighted) / 4, whose
-        rows sum to ``2 A_T`` exactly, the uniform-scaling identity.
+        ``dA_T/du`` with shape ``(3, F)``: (adjacent squared lengths,
+        cotangent weighted) / 4, whose three corners sum to ``2 A_T``
+        exactly, the uniform-scaling identity.
         """
         q, area, cos_terms = self.faces(sq)
-        angles = np.arctan2((4.0 * area)[:, None], cos_terms)
-        angle_sum = np.bincount(self.corners, angles.reshape(-1), self.vertex_count)
+        angles = np.arctan2(4.0 * area, cos_terms)
+        angle_sum = self.corner_sum @ angles.reshape(-1)
         dual = self.dual_sum @ area
         defect = 2.0 * np.pi - angle_sum
         scalar = 2.0 * defect / dual
@@ -203,14 +198,14 @@ class MeshKernel:
         )
         if not with_gradient:
             return field
-        return field, area[:, None] - (q * cos_terms) / (16.0 * area)[:, None]
+        return field, area - (q * cos_terms) / (16.0 * area)
 
     def operators(self, sq):
         """``(L, mass)`` as documented in :func:`ricciflow.spectrum.assemble_operators`."""
         n = self.vertex_count
         _, area, cos_terms = self.faces(sq)
-        half_cot = (cos_terms / (8.0 * area[:, None])).reshape(-1)
-        weight = np.bincount(self.triangle_edges.reshape(-1), weights=half_cot)
+        half_cot = (cos_terms / (8.0 * area)).reshape(-1)
+        weight = np.bincount(self.edges_by_corner.reshape(-1), weights=half_cot)
         diag = np.bincount(self.edge0, weight, n) + np.bincount(self.edge1, weight, n)
         entries = np.concatenate([diag, -weight, -weight])[self.csr_order]
         stiffness = sparse.csr_matrix((entries, self.csr_indices, self.csr_indptr), shape=(n, n))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import EigensolverError
 from .geometry import squared_lengths
@@ -59,9 +59,12 @@ def assemble_operators(metric):
 def smallest_eigenpairs(stiffness, mass, k, tol, seed, t=0.0):
     """The k algebraically smallest eigenpairs of ``L phi = lambda M phi``.
 
-    Shift-invert Lanczos with a fixed start vector, so results are
-    deterministic for a fixed seed. Vectors are cleaned up afterwards: the
-    kernel vector is replaced by the exact constant, the others are projected
+    Shift-invert Lanczos on the standard symmetric form
+    ``S = M^{-1/2} L M^{-1/2}`` (same eigenvalues; eigenvectors map back by
+    ``M^{-1/2}``), with one SuperLU factorization of ``S - sigma I`` in
+    symmetric mode and a fixed start vector, so results are deterministic
+    for a fixed seed. Vectors are cleaned up afterwards: the kernel vector
+    is replaced by the exact constant, the others are projected
     mass-orthogonal to it and re-orthonormalized, and signs are fixed by
     making the largest-magnitude entry positive.
 
@@ -78,17 +81,25 @@ def smallest_eigenpairs(stiffness, mass, k, tol, seed, t=0.0):
     total_area = float(mass.sum())
     sigma = -4.0 * np.pi**2 / total_area
     v0 = np.random.default_rng(seed).standard_normal(n)
-    mass_op = sparse.diags(mass)
+    sym, inv_sqrt = _symmetric_form(stiffness, mass)
+    # S - sigma I is positive definite (S is PSD, sigma < 0): no pivoting
+    lu = splu(
+        (sym - sigma * sparse.identity(n, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    shift_inverse = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
 
     vals = vecs = None
     ncv = None
     for attempt in range(2):
         try:
             vals, vecs = eigsh(
-                stiffness.tocsc(),
+                sym,
                 k=k,
-                M=mass_op.tocsc(),
                 sigma=sigma,
+                OPinv=shift_inverse,
                 v0=v0,
                 tol=0,
                 maxiter=2000,
@@ -103,6 +114,7 @@ def smallest_eigenpairs(stiffness, mass, k, tol, seed, t=0.0):
                 ) from exc
             ncv = min(n, max(4 * k + 1, 40))
 
+    vecs = inv_sqrt[:, None] * vecs
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
@@ -155,8 +167,7 @@ def rayleigh_quotient(f, metric):
 def operator_norm_estimate(stiffness, mass, seed=0):
     """Estimate of the largest eigenvalue of ``M^-1 L`` (for step control)."""
     n = stiffness.shape[0]
-    inv_sqrt = 1.0 / np.sqrt(mass)
-    sym = sparse.diags(inv_sqrt) @ stiffness @ sparse.diags(inv_sqrt)
+    sym, _ = _symmetric_form(stiffness, mass)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         val = eigsh(
@@ -167,6 +178,12 @@ def operator_norm_estimate(stiffness, mass, seed=0):
         diag = stiffness.diagonal()
         abs_rowsum = np.asarray(np.abs(stiffness).sum(axis=1)).ravel()
         return float(((diag + abs_rowsum) / mass).max())
+
+
+def _symmetric_form(stiffness, mass):
+    """``S = M^{-1/2} L M^{-1/2}``, similar to ``M^-1 L``, and ``M^{-1/2}``."""
+    inv_sqrt = 1.0 / np.sqrt(mass)
+    return sparse.diags(inv_sqrt) @ stiffness @ sparse.diags(inv_sqrt), inv_sqrt
 
 
 def _rayleigh(stiffness, mass, v):

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from ricciflow import ConfigError, HypothesisError
+from ricciflow import ConfigError, EigensolverError, HypothesisError
+from ricciflow import flow as flow_module
 from ricciflow.cli import main as cli_main
 from ricciflow.experiment import (
     ExperimentConfig,
@@ -280,6 +281,58 @@ def test_thread_variable_overrides_blas_settings():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("failing", ["start", "every"])
+def test_missing_start_snapshot_is_typed_error(monkeypatch, tmp_path, capsys, failing):
+    # the ratio and comparison checks need the t = 0 spectrum; a later
+    # snapshot must not stand in for it
+    real = flow_module.smallest_eigenpairs
+
+    def solver(stiffness, mass, k, tol, seed, t=0.0):
+        if t == 0.0 or failing == "every":
+            raise EigensolverError("injected failure")
+        return real(stiffness, mass, k, tol, seed, t=t)
+
+    monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
+    with pytest.raises(EigensolverError):
+        run_flow_experiment(ExperimentConfig.from_dict(_config_dict()))
+    pair = _config_dict(perturbations=[{"amplitude": 0.02, "seed": 5},
+                                       {"amplitude": -0.02, "seed": 5}])
+    with pytest.raises(EigensolverError):
+        run_pair_experiment(ExperimentConfig.from_dict(pair))
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict())
+    assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "EigensolverError"
+
+
+def test_artifacts_independent_of_thread_count(tmp_path):
+    # the level-2 acceptance run, once with BLAS on one thread and once on two
+    import ricciflow
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ricciflow.__file__)))
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict(mesh={"generator": "genus2", "level": 2},
+                                    flow={"spectrum_every": 30, "k": 12, "seed": 3}))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, RICCIFLOW_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "ricciflow.cli", "flow", "--config", str(cfg),
+             "--out", str(out), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        report = (out / "report.json").read_text().splitlines()
+        outputs.append((
+            [line for line in report if "generated_at" not in line],
+            (out / "trace.csv").read_bytes(),
+            (out / "spectrum.csv").read_bytes(),
+        ))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_timemap(capsys):

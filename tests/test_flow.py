@@ -6,7 +6,9 @@ from ricciflow import (
     FlowConfig,
     RicciFlowError,
     TriangleInequalityError,
+    assemble_operators,
     curvature_pde_residual,
+    dense_eigenpairs,
     measure_curvature,
     monotonicity_violations,
     nrf_velocity,
@@ -15,6 +17,7 @@ from ricciflow import (
     run_flow,
     step,
 )
+from ricciflow.flow import _Workspace
 
 
 def test_velocity_zero_at_constant_curvature(tetra_metric, torus16_metric):
@@ -31,6 +34,25 @@ def test_velocity_sign(octagon1):
     clear = np.abs(fld.R - fld.r) > 1e-2 * fld.max_deviation()
     assert clear.sum() > metric.mesh.vertex_count // 2
     assert ((vel > 0) == (fld.R < fld.r))[clear].all()
+
+
+def test_velocity_matches_gather_form(octagon1):
+    # oracle: the area-preserving shift as a sum over corners, with the
+    # curvature gathered to each corner
+    mesh = octagon1.mesh
+    modes = dense_eigenpairs(*assemble_operators(octagon1), k=6)[1][:, 1:]
+    ws = _Workspace(mesh, octagon1.base_lengths)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        u = octagon1.u + 0.05 * (modes @ rng.uniform(-1.0, 1.0, 5)) / np.abs(modes).max()
+        field, grad = mesh.kernel.curvature(
+            mesh.kernel.squared_lengths(ws.base_sq, u), with_gradient=True
+        )
+        corner_dev = field.r - field.R[mesh.triangles.T]
+        shift = -np.sum(grad * corner_dev) / (4.0 * field.total_area)
+        expected = 0.5 * (field.r - field.R) + shift
+        velocity, _ = ws.velocity(u)
+        assert np.abs(velocity - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_step_fixed_points(tetra_metric, torus16_metric):

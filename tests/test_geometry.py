@@ -87,8 +87,8 @@ def test_gauss_bonnet_random_factors(factory):
 def test_angle_sums(octagon0):
     # the corner angles measure_curvature sums, from the kernel's face terms
     _, area, cos_terms = octagon0.mesh.kernel.faces(squared_lengths(octagon0))
-    angles = np.arctan2(4.0 * area[:, None], cos_terms)
-    assert np.abs(angles.sum(axis=1) - np.pi).max() < 1e-12
+    angles = np.arctan2(4.0 * area, cos_terms)  # corner-major, shape (3, F)
+    assert np.abs(angles.sum(axis=0) - np.pi).max() < 1e-12
 
 
 def test_scale_identity(octagon0):
@@ -147,6 +147,29 @@ def test_perturb_pair_windows_overlap(octagon1):
     # the windows bracket the same base metric, so they overlap
     assert max(wp[0], wm[0]) < min(wp[1], wm[1])
     assert wp[1] < 0.0 and wm[1] < 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _hyperbolic_base(level):
+    mesh, lengths = generate_genus2(level)
+    return normalize_area(ConformalMetric.flat(mesh, lengths), -2.0 * np.pi * mesh.chi)
+
+
+@pytest.mark.parametrize(
+    "level, amplitudes, seed, alpha, beta",
+    [
+        (2, (0.02,), 11, -2.2642490142671234, -1.7132737651487213),
+        (3, (0.02,), 11, -2.264342078149188, -1.7336423972367125),
+        (3, (0.02, -0.02), 5, -2.296009545383086, -1.7215800409821642),
+    ],
+)
+def test_perturbed_windows_pinned(level, amplitudes, seed, alpha, beta):
+    # The flow experiments start from these surfaces. Eigenvectors of the
+    # symmetric base have entries tied up to sign, so a last-bit change in
+    # the eigensolver could flip a mode and silently change the surface.
+    windows = [perturb_metric(_hyperbolic_base(level), a, seed)[1] for a in amplitudes]
+    merged = (min(w[0] for w in windows), max(w[1] for w in windows))
+    assert merged == pytest.approx((alpha, beta), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("amplitude", [0.3, 2.5])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from ricciflow import (
     assemble_operators,
     dense_eigenpairs,
+    perturb_metric,
     rayleigh_quotient,
     scale_metric,
     smallest_eigenpairs,
@@ -68,15 +70,37 @@ def test_sphere_lowest_eigenvalue():
     assert np.allclose(snap.eigenvalues[1:4], snap.eigenvalues[1], rtol=2e-3)
 
 
-def test_dense_oracle_small_mesh():
-    metric = icosphere_metric(0)  # 12 vertices
+def test_dense_oracle_small_mesh(octagon0):
     rng = np.random.default_rng(7)
-    metric = metric.with_u(0.1 * rng.standard_normal(12))
+    for metric in (icosphere_metric(0), octagon0):  # 12 and 32 vertices
+        metric = metric.with_u(metric.u + 0.1 * rng.standard_normal(metric.mesh.vertex_count))
+        stiffness, mass = assemble_operators(metric)
+        snap = smallest_eigenpairs(stiffness, mass, 5, tol=1e-10, seed=3)
+        ref, _ = dense_eigenpairs(stiffness, mass, 5)
+        assert abs(snap.eigenvalues[0] - ref[0]) < 1e-9
+        assert np.allclose(snap.eigenvalues[1:], ref[1:], rtol=1e-8)
+
+
+def test_matches_mass_generalized_eigsh(octagon1):
+    # oracle: shift-invert ARPACK on the generalized problem, with the mass
+    # matrix passed to eigsh as M
+    metric, _ = perturb_metric(octagon1, 0.02, 11)
     stiffness, mass = assemble_operators(metric)
-    snap = smallest_eigenpairs(stiffness, mass, 5, tol=1e-10, seed=3)
-    ref, _ = dense_eigenpairs(stiffness, mass, 5)
-    assert abs(snap.eigenvalues[0] - ref[0]) < 1e-9
-    assert np.allclose(snap.eigenvalues[1:], ref[1:], rtol=1e-8)
+    snap = smallest_eigenpairs(stiffness, mass, 12, tol=1e-8, seed=3)
+    n = mass.shape[0]
+    ref = eigsh(
+        stiffness.tocsc(),
+        k=12,
+        M=sparse.diags(mass).tocsc(),
+        sigma=-4.0 * np.pi**2 / mass.sum(),
+        v0=np.random.default_rng(3).standard_normal(n),
+        tol=0,
+        maxiter=2000,
+        return_eigenvectors=False,
+    )
+    ref = np.sort(ref)
+    assert abs(snap.eigenvalues[0]) < 1e-9 * ref[1]
+    assert np.allclose(snap.eigenvalues[1:], ref[1:], rtol=1e-8, atol=0)
 
 
 def test_scale_covariance(octagon1):
