@@ -1,11 +1,14 @@
 """Re-run bound checks from artifacts stored on disk.
 
-The trace CSV keeps the per-step curvature extremes, which are exactly the
-binding vertices of the envelope inequalities, and the spectrum CSV keeps
-branch-ordered eigenvalues with crossing flags, so everything except the
-eigenvector-dependent residual statistics can be re-audited without
-re-running the flow. Vertex indices of witnesses are not stored in the CSV,
-so audited witnesses carry times (and branch indices) only.
+The trace CSV keeps the per-step curvature extremes and the vertices where
+they sit, which are exactly the binding vertices of the envelope
+inequalities, and the spectrum CSV keeps branch-ordered and sorted
+eigenvalues with crossing flags. Audit reads them, with the report's
+inputs, into the series record a live run builds and hands it to
+``bounds.surface_checks`` and ``bounds.pair_checks``, so it reproduces the
+live check list exactly; only the eigenvector-dependent residual statistics
+are not re-audited. A trace written before the ``argmin``/``argmax`` columns
+existed still audits, with envelope witnesses that carry times only.
 """
 
 from __future__ import annotations
@@ -19,28 +22,19 @@ from .reporting import read_report_json, read_spectrum_csv, read_trace_csv, writ
 
 
 def audit_directory(path):
-    report_path = os.path.join(path, "report.json")
-    if not os.path.exists(report_path):
-        raise ConfigError(f"no report.json in {path}")
-    stored = read_report_json(report_path)
-    kind = stored.get("kind")
-    if kind == "flow":
-        checks = _audit_flow_dir(path, stored["inputs"])
-    elif kind == "pair":
-        checks = []
-        for idx in (1, 2):
-            sub = os.path.join(path, f"surface_{idx}")
-            for check in _audit_flow_dir(sub, stored[f"surface_{idx}"]["inputs"]):
-                check = dict(check)
-                check["name"] = f"surface_{idx}/{check['name']}"
-                checks.append(check)
-        checks.extend(_audit_pair(path, stored["inputs"]))
-    else:
-        raise ConfigError(f"unknown report kind {kind!r}")
+    stored, surfaces, pair_inputs = _read_records(path)
+    checks = []
+    for prefix, (steps, spectrum, inputs) in surfaces.items():
+        found, _ = bnd.surface_checks(steps, spectrum, inputs)
+        checks += [dict(c.as_dict(), name=prefix + c.name) for c in found]
+    if pair_inputs is not None:
+        spectra = [spectrum["sorted_values"] for _, spectrum, _ in surfaces.values()]
+        found, _ = bnd.pair_checks(*spectra, *pair_inputs)
+        checks += [c.as_dict() for c in found]
 
     result = {
         "version": 1,
-        "kind": f"audit_{kind}",
+        "kind": f"audit_{stored['kind']}",
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "source_report": stored.get("generated_at"),
         "checks": checks,
@@ -50,58 +44,43 @@ def audit_directory(path):
     return result
 
 
-def _audit_flow_dir(path, inputs):
+def _read_records(path):
+    """The stored report, the series record of each surface keyed by the
+    prefix of its check names, and the pair checks' inputs (None for a flow).
+
+    Every missing or malformed artifact raises ConfigError here, so the
+    checks only ever see complete records.
+    """
+    try:
+        stored = read_report_json(os.path.join(path, "report.json"))
+        kind = stored.get("kind")
+        if kind == "flow":
+            return stored, {"": _surface_record(path, stored["inputs"])}, None
+        if kind == "pair":
+            surfaces = {
+                f"surface_{i}/": _surface_record(
+                    os.path.join(path, f"surface_{i}"), stored[f"surface_{i}"]["inputs"]
+                )
+                for i in (1, 2)
+            }
+            inputs = stored["inputs"]
+            window = (inputs["alpha"], inputs["beta"])
+            pair_inputs = (window, inputs["r"], inputs["delta_hat"], inputs["tol_ratio"])
+            return stored, surfaces, pair_inputs
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot audit {path}: {type(exc).__name__}: {exc}") from exc
+    raise ConfigError(f"unknown report kind {kind!r}")
+
+
+def _surface_record(path, stored_inputs):
     trace = read_trace_csv(os.path.join(path, "trace.csv"))
+    steps = {name: trace[name] for name in ("t", "R_min", "R_max")}
+    steps.update((name, trace[name]) for name in ("argmin", "argmax") if name in trace)
     spectrum = read_spectrum_csv(os.path.join(path, "spectrum.csv"))
-    alpha, beta, r = inputs["alpha"], inputs["beta"], inputs["r"]
-    h = inputs["mean_edge_length"]
-    c_disc = inputs["c_disc"]
-    tol_env = c_disc * h * h * abs(r)
-
-    checks = bnd.envelope_check_series(
-        trace["t"], trace["R_min"], trace["R_max"], r, alpha, beta, tol_env
-    )
-    if trace["t"].shape[0] >= 3:
-        checks.append(
-            bnd.rmax_ode_series(trace["t"], trace["R_max"], r, c_disc * h * h * r * r)
+    inputs = {key: stored_inputs[key] for key in bnd.SURFACE_INPUTS}
+    if spectrum["values"].shape[0] != inputs["k"]:
+        raise ConfigError(
+            f"{path}: spectrum.csv has {spectrum['values'].shape[0]} branches, "
+            f"the report says k = {inputs['k']}"
         )
-    k = spectrum["values"].shape[0]
-    if spectrum["times"].shape[0] >= 3:
-        checks.append(
-            bnd.corridor_check_series(
-                spectrum["times"],
-                spectrum["values"],
-                spectrum["flagged"],
-                r,
-                alpha,
-                beta,
-                h,
-                branches=list(range(1, min(6, k))),
-                c_disc=c_disc,
-            )
-        )
-    n_ratio = min(10, k - 1)
-    mu0 = spectrum["sorted_values"][1 : 1 + n_ratio, 0]
-    mu1 = spectrum["sorted_values"][1 : 1 + n_ratio, -1]
-    ratio_check, _ = bnd.ratio_bound_check(
-        mu0, mu1, alpha, beta, r, tol_ratio=inputs["tol_ratio"]
-    )
-    checks.append(ratio_check)
-    return [c.as_dict() for c in checks]
-
-
-def _audit_pair(path, inputs):
-    spec1 = read_spectrum_csv(os.path.join(path, "surface_1", "spectrum.csv"))
-    spec2 = read_spectrum_csv(os.path.join(path, "surface_2", "spectrum.csv"))
-    k = spec1["values"].shape[0]
-    n_cmp = min(10, k - 1)
-    alpha, beta, r = inputs["alpha"], inputs["beta"], inputs["r"]
-    delta = inputs["delta_hat"]
-    tol = inputs["tol_ratio"]
-    s1_start = spec1["sorted_values"][1 : 1 + n_cmp, 0]
-    s2_start = spec2["sorted_values"][1 : 1 + n_cmp, 0]
-    s1_end = spec1["sorted_values"][1 : 1 + n_cmp, -1]
-    s2_end = spec2["sorted_values"][1 : 1 + n_cmp, -1]
-    buser = bnd.buser_comparison_check(s1_end, s2_end, delta, tol)
-    mt, _ = bnd.main_theorem_check(s1_start, s2_start, alpha, beta, r, delta, tol)
-    return [buser.as_dict(), mt.as_dict()]
+    return steps, spectrum, inputs

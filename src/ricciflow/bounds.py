@@ -13,6 +13,10 @@ themselves are theorems for the smooth objects. The envelope slack is
 leading consistency error of the discrete curvature), ``c_disc``
 overridable; ratio checks take an absolute slack ``tol_ratio`` on the
 eigenvalue ratio.
+
+``surface_checks`` and ``pair_checks`` decide which checks run, on which
+branches and eigenvalues, and with which tolerances. They read a series
+record that live runs build from memory and ``audit`` from stored artifacts.
 """
 
 from __future__ import annotations
@@ -52,11 +56,6 @@ class BoundReport:
     checks: list = field(default_factory=list)
     inputs: dict = field(default_factory=dict)
 
-    def add(self, checks):
-        if isinstance(checks, BoundCheck):
-            checks = [checks]
-        self.checks.extend(checks)
-
     @property
     def all_satisfied(self):
         return all(c.satisfied for c in self.checks)
@@ -69,6 +68,7 @@ class BoundReport:
 
 
 def _mk_check(name, margins, witnesses, tol):
+    """The check at the worst margin; ``tol`` is one tolerance or one per margin."""
     worst = int(np.argmin(margins))
     margin = float(margins[worst])
     return BoundCheck(
@@ -76,8 +76,25 @@ def _mk_check(name, margins, witnesses, tol):
         satisfied=margin >= 0.0,
         worst_margin=margin,
         witness=witnesses(worst),
-        tolerance_used=float(tol),
+        tolerance_used=float(tol[worst] if np.ndim(tol) else tol),
     )
+
+
+def _ratio_window(name, numerator, denominator, lo, hi, tol):
+    """Check ``lo <= numerator_i / denominator_i <= hi`` within ``tol``.
+
+    Both spectra hold nonzero eigenvalues, so witness indices count modes
+    from the first nonzero one.
+    """
+    numerator = np.asarray(numerator, dtype=float)
+    denominator = np.asarray(denominator, dtype=float)
+    if numerator.shape != denominator.shape:
+        raise HypothesisError("spectra have mismatched lengths")
+    if np.any(numerator <= 0.0) or np.any(denominator <= 0.0):
+        raise ValueError("spectral checks need strictly positive eigenvalues")
+    ratios = numerator / denominator
+    margins = np.minimum(ratios - (lo - tol), (hi + tol) - ratios)
+    return _mk_check(name, margins, lambda i: {"time": None, "index": int(i + 1)}, tol)
 
 
 def mean_edge_length(trace):
@@ -85,16 +102,17 @@ def mean_edge_length(trace):
     return float(np.mean(current_lengths(metric)))
 
 
-def envelope_tolerance(trace, c_disc=DEFAULT_C_DISC):
-    h = mean_edge_length(trace)
-    return c_disc * h * h * abs(trace.r)
+def envelope_check(t, r_min, r_max, r, alpha, beta, tol, argmin=None, argmax=None):
+    """Two-sided decay envelopes on r - R, plus the standing upper bound.
 
+    For every step and vertex:
 
-def envelope_check_series(t, r_min, r_max, r, alpha, beta, tol, argmin=None, argmax=None):
-    """Series-level envelope margins; shared by live traces and audits.
+        r * e^{beta t}  <=  r - R  <=  -alpha * e^{r t}     and    R <= beta
 
-    The inequalities are per vertex; the per-step extremes are exactly the
-    binding vertices at each time, so checking them loses nothing.
+    within the discretization allowance ``tol``. The inequalities are per
+    vertex; the per-step extremes are exactly the binding vertices at each
+    time, so checking them loses nothing. ``argmin``/``argmax`` name those
+    vertices for the witnesses; without them a witness has no index.
     """
     if not alpha < r < beta < 0.0:
         raise HypothesisError(
@@ -121,29 +139,13 @@ def envelope_check_series(t, r_min, r_max, r, alpha, beta, tol, argmin=None, arg
     ]
 
 
-def envelope_check(trace, alpha, beta, c_disc=DEFAULT_C_DISC):
-    """Two-sided decay envelopes on r - R, plus the standing upper bound.
+def rmax_ode_check(t, r_max, r, tol, argmax=None):
+    """Comparison ODE for the curvature maximum.
 
-    For every step and vertex:
-
-        r * e^{beta t}  <=  r - R  <=  -alpha * e^{r t}     and    R <= beta
-
-    within the discretization allowance ``tol_env = c_disc * h^2 * |r|``.
+    Forward differences of R_max (only piecewise smooth, the argmax jumps)
+    must not exceed ``R_max (R_max - r)`` beyond the discretization
+    allowance ``tol``.
     """
-    return envelope_check_series(
-        trace.steps["t"],
-        trace.steps["R_min"],
-        trace.steps["R_max"],
-        trace.r,
-        alpha,
-        beta,
-        envelope_tolerance(trace, c_disc),
-        argmin=trace.steps["argmin"],
-        argmax=trace.steps["argmax"],
-    )
-
-
-def rmax_ode_series(t, r_max, r, tol, argmax=None):
     t = np.asarray(t, dtype=float)
     r_max = np.asarray(r_max, dtype=float)
     if t.shape[0] < 3:
@@ -159,26 +161,16 @@ def rmax_ode_series(t, r_max, r, tol, argmax=None):
     return _mk_check("rmax_comparison_ode", margins, witness, tol)
 
 
-def rmax_ode_check(trace, c_disc=DEFAULT_C_DISC):
-    """Comparison ODE for the curvature maximum.
+def log_derivative_corridor_check(times, values, flagged, r, alpha, beta, h, branches, c_disc):
+    """Time-decaying corridor for d(log lambda)/dt along nonzero branches.
 
-    Forward differences of R_max (only piecewise smooth, the argmax jumps)
-    must not exceed ``R_max (R_max - r)`` beyond the discretization
-    allowance.
+        alpha e^{r t}  <=  d log(lambda)/dt  <=  -r e^{beta t}
+
+    Checked on the branch-ordered eigenvalue rows ``values[b]`` of the given
+    ``branches`` at every unflagged interior snapshot, within an allowance
+    that adds the finite-difference truncation scale ``(dt |r|)^2 |r|`` to
+    the envelope allowance ``c_disc * h^2 * |r|``.
     """
-    h = mean_edge_length(trace)
-    r = trace.r
-    return rmax_ode_series(
-        trace.steps["t"],
-        trace.steps["R_max"],
-        r,
-        c_disc * h * h * r * r,
-        argmax=trace.steps["argmax"],
-    )
-
-
-def corridor_check_series(times, values, flagged, r, alpha, beta, h, branches, c_disc):
-    """Series-level corridor margins from branch-ordered eigenvalue columns."""
     if not alpha < r < beta < 0.0:
         raise HypothesisError("need alpha < r < beta < 0")
     times = np.asarray(times, dtype=float)
@@ -198,41 +190,7 @@ def corridor_check_series(times, values, flagged, r, alpha, beta, h, branches, c
             witnesses.append({"time": float(times[j]), "index": int(b)})
     if not margins:
         raise ValueError("no unflagged branch samples to check")
-    margins = np.asarray(margins)
-    worst = int(np.argmin(margins))
-    return BoundCheck(
-        name="log_derivative_corridor",
-        satisfied=bool(margins[worst] >= 0.0),
-        worst_margin=float(margins[worst]),
-        witness=witnesses[worst],
-        tolerance_used=float(tols[worst]),
-    )
-
-
-def log_derivative_corridor_check(
-    trace, branch_set, alpha, beta, branches=None, c_disc=DEFAULT_C_DISC
-):
-    """Time-decaying corridor for d(log lambda)/dt along nonzero branches.
-
-        alpha e^{r t}  <=  d log(lambda)/dt  <=  -r e^{beta t}
-
-    Checked at every unflagged interior snapshot of the requested branches
-    (default: all nonzero ones), within ``tol_corr`` combining the envelope
-    discretization allowance with the finite-difference truncation scale.
-    """
-    if branches is None:
-        branches = list(range(1, branch_set.k))
-    return corridor_check_series(
-        branch_set.times,
-        branch_set.values,
-        branch_set.flagged,
-        trace.r,
-        alpha,
-        beta,
-        mean_edge_length(trace),
-        branches,
-        c_disc,
-    )
+    return _mk_check("log_derivative_corridor", np.asarray(margins), witnesses.__getitem__, tols)
 
 
 def ratio_bound_check(mu_start, mu_end, alpha, beta, r, tol_ratio=DEFAULT_TOL_RATIO):
@@ -242,24 +200,10 @@ def ratio_bound_check(mu_start, mu_end, alpha, beta, r, tol_ratio=DEFAULT_TOL_RA
 
     Area-independent; indices start at the first nonzero mode.
     """
-    mu_start = np.asarray(mu_start, dtype=float)
-    mu_end = np.asarray(mu_end, dtype=float)
-    if mu_start.shape != mu_end.shape:
-        raise HypothesisError("spectra have mismatched lengths")
-    if np.any(mu_start <= 0.0) or np.any(mu_end <= 0.0):
-        raise ValueError("ratio bound needs strictly positive eigenvalues")
     if not alpha < r < beta < 0.0:
         raise HypothesisError("need alpha < r < beta < 0")
-    lo = np.exp(-alpha / r)
-    hi = np.exp(r / beta)
-    ratios = mu_end / mu_start
-    margins = np.minimum(ratios - (lo - tol_ratio), (hi + tol_ratio) - ratios)
-
-    def witness(i):
-        return {"time": None, "index": int(i + 1)}
-
-    check = _mk_check("eigenvalue_ratio_window", margins, witness, tol_ratio)
-    return check, (float(lo), float(hi))
+    lo, hi = float(np.exp(-alpha / r)), float(np.exp(r / beta))
+    return _ratio_window("eigenvalue_ratio_window", mu_end, mu_start, lo, hi, tol_ratio), (lo, hi)
 
 
 def distortion_upper_bound(metric1, metric2):
@@ -289,20 +233,10 @@ def buser_comparison_check(spec1, spec2, delta, tol_ratio=DEFAULT_TOL_RATIO):
     Sound for any upper bound ``delta`` of the distortion distance, since
     both sides widen monotonically in it.
     """
-    spec1 = np.asarray(spec1, dtype=float)
-    spec2 = np.asarray(spec2, dtype=float)
-    if spec1.shape != spec2.shape:
-        raise HypothesisError("spectra have mismatched lengths")
     if delta < 0.0:
         raise HypothesisError("delta must be non-negative")
-    ratios = spec1 / spec2
     lo, hi = np.exp(-4.0 * delta), np.exp(4.0 * delta)
-    margins = np.minimum(ratios - (lo - tol_ratio), (hi + tol_ratio) - ratios)
-
-    def witness(i):
-        return {"time": None, "index": int(i + 1)}
-
-    return _mk_check("distortion_spectral_comparison", margins, witness, tol_ratio)
+    return _ratio_window("distortion_spectral_comparison", spec1, spec2, lo, hi, tol_ratio)
 
 
 def main_theorem_factor(alpha, beta, r, delta):
@@ -325,18 +259,104 @@ def main_theorem_check(spec1, spec2, alpha, beta, r, delta, tol_ratio=DEFAULT_TO
         1/F  <=  lambda_n(M1) / lambda_n(M2)  <=  F,
         F = e^{alpha/r + r/beta + 4 delta}.
     """
-    spec1 = np.asarray(spec1, dtype=float)
-    spec2 = np.asarray(spec2, dtype=float)
-    if spec1.shape != spec2.shape:
-        raise HypothesisError("spectra have mismatched lengths")
-    if np.any(spec1 <= 0.0) or np.any(spec2 <= 0.0):
-        raise ValueError("comparison needs strictly positive eigenvalues")
     factor = main_theorem_factor(alpha, beta, r, delta)
-    ratios = spec1 / spec2
-    margins = np.minimum(ratios - (1.0 / factor - tol_ratio), (factor + tol_ratio) - ratios)
-
-    def witness(i):
-        return {"time": None, "index": int(i + 1)}
-
-    check = _mk_check("spectral_comparison_main", margins, witness, tol_ratio)
+    check = _ratio_window("spectral_comparison_main", spec1, spec2, 1.0 / factor, factor, tol_ratio)
     return check, factor
+
+
+# Keys of the report's ``inputs`` block that ``surface_checks`` reads.
+SURFACE_INPUTS = ("alpha", "beta", "r", "mean_edge_length", "c_disc", "tol_ratio", "k")
+
+
+def checked_branches(k):
+    """The nonzero branches whose log-derivatives and residuals are checked."""
+    return list(range(1, min(6, k)))
+
+
+def _travel(sorted_values):
+    """The first ``min(10, k - 1)`` nonzero eigenvalues at the first and the last snapshot."""
+    n = min(10, sorted_values.shape[0] - 1)
+    return sorted_values[1 : 1 + n, 0], sorted_values[1 : 1 + n, -1]
+
+
+def surface_checks(steps, spectrum, inputs):
+    """Every bound check of one flow, from its series record.
+
+    ``steps`` maps ``t``, ``R_min``, ``R_max`` and, if known, the vertices
+    ``argmin``/``argmax`` to per-step arrays. ``spectrum`` maps ``times``,
+    ``values``, ``flagged`` and ``sorted_values`` to the branch arrays (one
+    row per eigenvalue, one column per snapshot). ``inputs`` holds the
+    ``SURFACE_INPUTS``. Live runs and ``audit`` both call this, so they run
+    the same checks with the same settings. Returns the checks and the ratio
+    bracket.
+    """
+    alpha, beta, r, h, c_disc, tol_ratio, k = (inputs[key] for key in SURFACE_INPUTS)
+    t, r_max, argmax = steps["t"], steps["R_max"], steps.get("argmax")
+    checks = envelope_check(
+        t,
+        steps["R_min"],
+        r_max,
+        r,
+        alpha,
+        beta,
+        c_disc * h * h * abs(r),
+        argmin=steps.get("argmin"),
+        argmax=argmax,
+    )
+    if t.shape[0] >= 3:
+        checks.append(rmax_ode_check(t, r_max, r, c_disc * h * h * r * r, argmax=argmax))
+    if spectrum["times"].shape[0] >= 3:
+        checks.append(
+            log_derivative_corridor_check(
+                spectrum["times"],
+                spectrum["values"],
+                spectrum["flagged"],
+                r,
+                alpha,
+                beta,
+                h,
+                checked_branches(k),
+                c_disc,
+            )
+        )
+    ratio, bracket = ratio_bound_check(
+        *_travel(spectrum["sorted_values"]), alpha, beta, r, tol_ratio
+    )
+    checks.append(ratio)
+    return checks, bracket
+
+
+def pair_checks(sorted1, sorted2, window, r, delta_hat, tol_ratio):
+    """The two-surface checks, from each flow's ``sorted_values``.
+
+    Compares the end spectra (distortion comparison) and the start spectra
+    (main theorem) and checks that the two compose. Returns the checks and
+    the main theorem's factor.
+    """
+    alpha, beta = window
+    s1_start, s1_end = _travel(sorted1)
+    s2_start, s2_end = _travel(sorted2)
+    buser = buser_comparison_check(s1_end, s2_end, delta_hat, tol_ratio)
+    mt, factor = main_theorem_check(s1_start, s2_start, alpha, beta, r, delta_hat, tol_ratio)
+    chain = _consistency_chain(s1_start, s1_end, s2_start, s2_end, alpha, beta, r, delta_hat)
+    return [buser, mt, chain], factor
+
+
+def _consistency_chain(s1_start, s1_end, s2_start, s2_end, alpha, beta, r, delta):
+    """If both travel windows hold and the limit comparison holds, the
+    end-to-end comparison must hold; the composition is exact, so this is
+    checked at (float) zero slack."""
+    eps = 1e-12
+    ratio1, _ = ratio_bound_check(s1_start, s1_end, alpha, beta, r, tol_ratio=eps)
+    ratio2, _ = ratio_bound_check(s2_start, s2_end, alpha, beta, r, tol_ratio=eps)
+    buser = buser_comparison_check(s1_end, s2_end, delta, tol_ratio=eps)
+    mt, _ = main_theorem_check(s1_start, s2_start, alpha, beta, r, delta, tol_ratio=eps)
+    premise = ratio1.satisfied and ratio2.satisfied and buser.satisfied
+    holds = (not premise) or mt.satisfied
+    return BoundCheck(
+        name="consistency_chain",
+        satisfied=holds,
+        worst_margin=1.0 if holds else -1.0,
+        witness={"time": None, "index": None},
+        tolerance_used=eps,
+    )

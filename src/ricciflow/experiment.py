@@ -210,13 +210,6 @@ def build_base_metric(config):
     return normalize_area(metric, target)
 
 
-def nonzero_sorted(snapshot, count):
-    vals = np.sort(snapshot.eigenvalues)[1:]
-    if vals.shape[0] < count:
-        raise ValueError(f"need {count} nonzero eigenvalues, have {vals.shape[0]}")
-    return vals[:count]
-
-
 def pde_residual_median(trace, active_dev=None):
     """Median pointwise curvature-law residual over active interior samples."""
     samples = trace.snapshot_samples()
@@ -267,33 +260,15 @@ def _single_snapshot_branches(snap, config):
 
 
 def _surface_checks(config, window, trace, branch_set):
-    alpha, beta = window
-    report = bnd.BoundReport()
-    report.add(bnd.envelope_check(trace, alpha, beta, config.c_disc))
-    if trace.steps["t"].shape[0] >= 3:
-        report.add(bnd.rmax_ode_check(trace, config.c_disc))
-    audit_branches = list(range(1, min(6, config.flow.k)))
-    if branch_set.times.shape[0] >= 3:
-        report.add(
-            bnd.log_derivative_corridor_check(
-                trace, branch_set, alpha, beta, branches=audit_branches, c_disc=config.c_disc
-            )
-        )
-    n_ratio = min(10, config.flow.k - 1)
-    snaps = trace.snapshots()
-    ratio_check, bracket = bnd.ratio_bound_check(
-        nonzero_sorted(snaps[0], n_ratio),
-        nonzero_sorted(snaps[-1], n_ratio),
-        alpha,
-        beta,
-        trace.r,
-        config.tol_ratio,
-    )
-    report.add(ratio_check)
+    inputs = _surface_inputs(config, window, trace)
+    checks, bracket = bnd.surface_checks(trace.steps, vars(branch_set), inputs)
+    inputs["ratio_bracket"] = list(bracket)
+    report = bnd.BoundReport(checks, inputs)
 
+    branches = bnd.checked_branches(config.flow.k)
     stats = {"monotonicity_events": len(monotonicity_violations(trace))}
     try:
-        med, count = evolution_residual_median(trace, branch_set, audit_branches)
+        med, count = evolution_residual_median(trace, branch_set, branches)
         stats["evolution_formula_median"] = med
         stats["evolution_formula_samples"] = count
     except ValueError:
@@ -304,7 +279,7 @@ def _surface_checks(config, window, trace, branch_set):
         pass
     try:
         stats["normalization_median"] = float(
-            np.median(normalization_rate_residuals(trace, branch_set, audit_branches))
+            np.median(normalization_rate_residuals(trace, branch_set, branches))
         )
     except ValueError:
         pass
@@ -312,10 +287,10 @@ def _surface_checks(config, window, trace, branch_set):
         stats["pde_residual_median"] = pde_residual_median(trace)
     except ValueError:
         pass
-    return report, bracket, stats
+    return report, stats
 
 
-def _surface_inputs(config, window, trace, bracket):
+def _surface_inputs(config, window, trace):
     alpha, beta = window
     mesh = trace.mesh
     return {
@@ -327,7 +302,6 @@ def _surface_inputs(config, window, trace, bracket):
         "genus": int(mesh.genus),
         "vertices": int(mesh.vertex_count),
         "mean_edge_length": bnd.mean_edge_length(trace),
-        "ratio_bracket": [bracket[0], bracket[1]],
         "c_disc": config.c_disc,
         "tol_ratio": config.tol_ratio,
         "overlap_min": config.overlap_min,
@@ -345,8 +319,7 @@ def run_flow_experiment(config, progress=None):
     metric, window, trace, branch_set = _run_one_surface(
         config, config.perturbations[0], progress
     )
-    report, bracket, stats = _surface_checks(config, window, trace, branch_set)
-    report.inputs = _surface_inputs(config, window, trace, bracket)
+    report, stats = _surface_checks(config, window, trace, branch_set)
 
     report_dict = {
         "version": 1,
@@ -395,29 +368,14 @@ def run_pair_experiment(config, progress=None):
     beta = max(w1[1], w2[1])
     window = (alpha, beta)
 
-    rep1, bracket1, stats1 = _surface_checks(config, window, tr1, bs1)
-    rep2, bracket2, stats2 = _surface_checks(config, window, tr2, bs2)
+    rep1, stats1 = _surface_checks(config, window, tr1, bs1)
+    rep2, stats2 = _surface_checks(config, window, tr2, bs2)
 
     q_hat, delta_hat = bnd.distortion_upper_bound(tr1.limit, tr2.limit)
-    n_cmp = min(10, config.flow.k - 1)
-    spec1_start = nonzero_sorted(tr1.snapshots()[0], n_cmp)
-    spec2_start = nonzero_sorted(tr2.snapshots()[0], n_cmp)
-    spec1_end = nonzero_sorted(tr1.snapshots()[-1], n_cmp)
-    spec2_end = nonzero_sorted(tr2.snapshots()[-1], n_cmp)
-
-    pair_report = bnd.BoundReport()
-    pair_report.add(
-        bnd.buser_comparison_check(spec1_end, spec2_end, delta_hat, config.tol_ratio)
+    checks, factor = bnd.pair_checks(
+        bs1.sorted_values, bs2.sorted_values, window, tr1.r, delta_hat, config.tol_ratio
     )
-    mt_check, factor = bnd.main_theorem_check(
-        spec1_start, spec2_start, alpha, beta, tr1.r, delta_hat, config.tol_ratio
-    )
-    pair_report.add(mt_check)
-    pair_report.add(
-        _consistency_chain(
-            spec1_start, spec1_end, spec2_start, spec2_end, alpha, beta, tr1.r, delta_hat
-        )
-    )
+    pair_report = bnd.BoundReport(checks)
 
     report_dict = {
         "version": 1,
@@ -439,13 +397,13 @@ def run_pair_experiment(config, progress=None):
             "k": config.flow.k,
         },
         "surface_1": {
-            "inputs": _surface_inputs(config, window, tr1, bracket1),
+            "inputs": rep1.inputs,
             "checks": [c.as_dict() for c in rep1.checks],
             "residual_stats": stats1,
             "warnings": list(tr1.warnings),
         },
         "surface_2": {
-            "inputs": _surface_inputs(config, window, tr2, bracket2),
+            "inputs": rep2.inputs,
             "checks": [c.as_dict() for c in rep2.checks],
             "residual_stats": stats2,
             "warnings": list(tr2.warnings),
@@ -470,26 +428,6 @@ def run_pair_experiment(config, progress=None):
     if config.output_dir:
         _emit_pair(config, artifacts, config.output_dir)
     return artifacts
-
-
-def _consistency_chain(s1_start, s1_end, s2_start, s2_end, alpha, beta, r, delta):
-    """If both travel windows hold and the limit comparison holds, the
-    end-to-end comparison must hold; the composition is exact, so this is
-    checked at (float) zero slack."""
-    eps = 1e-12
-    ratio1, _ = bnd.ratio_bound_check(s1_start, s1_end, alpha, beta, r, tol_ratio=eps)
-    ratio2, _ = bnd.ratio_bound_check(s2_start, s2_end, alpha, beta, r, tol_ratio=eps)
-    buser = bnd.buser_comparison_check(s1_end, s2_end, delta, tol_ratio=eps)
-    mt, _ = bnd.main_theorem_check(s1_start, s2_start, alpha, beta, r, delta, tol_ratio=eps)
-    premise = ratio1.satisfied and ratio2.satisfied and buser.satisfied
-    holds = (not premise) or mt.satisfied
-    return bnd.BoundCheck(
-        name="consistency_chain",
-        satisfied=holds,
-        worst_margin=1.0 if holds else -1.0,
-        witness={"time": None, "index": None},
-        tolerance_used=eps,
-    )
 
 
 def _timestamp():

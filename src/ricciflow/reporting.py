@@ -16,7 +16,18 @@ import numpy as np
 
 from .errors import ConfigError
 
-TRACE_COLUMNS = ("t", "dt", "area", "r", "R_min", "R_max", "max_abs_R_minus_r")
+# trace.csv column -> key of ``FlowTrace.steps``
+TRACE_COLUMNS = {
+    "t": "t",
+    "dt": "dt",
+    "area": "area",
+    "r": "r",
+    "R_min": "R_min",
+    "R_max": "R_max",
+    "max_abs_R_minus_r": "max_dev",
+    "argmin": "argmin",
+    "argmax": "argmax",
+}
 
 
 def format_float(x):
@@ -24,21 +35,11 @@ def format_float(x):
 
 
 def write_trace_csv(path, trace):
-    steps = trace.steps
-    columns = {
-        "t": steps["t"],
-        "dt": steps["dt"],
-        "area": steps["area"],
-        "r": steps["r"],
-        "R_min": steps["R_min"],
-        "R_max": steps["R_max"],
-        "max_abs_R_minus_r": steps["max_dev"],
-    }
+    columns = [trace.steps[key] for key in TRACE_COLUMNS.values()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        n = len(columns["t"])
-        for i in range(n):
-            fh.write(",".join(format_float(columns[c][i]) for c in TRACE_COLUMNS) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(format_float(x) for x in row) + "\n")
 
 
 def _read_csv(path):
@@ -56,7 +57,11 @@ def _read_csv(path):
 
 def read_trace_csv(path):
     header, data = _read_csv(path)
-    return {name: data[:, j] for j, name in enumerate(header)}
+    columns = {name: data[:, j] for j, name in enumerate(header)}
+    for name in ("argmin", "argmax"):  # vertex indices; older traces lack them
+        if name in columns:
+            columns[name] = columns[name].astype(int)
+    return columns
 
 
 def write_spectrum_csv(path, branch_set):

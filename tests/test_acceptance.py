@@ -24,7 +24,7 @@ from ricciflow import (
     smallest_eigenpairs,
     track_branches,
 )
-from ricciflow.bounds import envelope_check_series
+from ricciflow.bounds import envelope_check
 from ricciflow.experiment import ExperimentConfig, pde_residual_median, run_pair_experiment
 from ricciflow.experiment import run_flow_experiment
 from ricciflow.tracking import dual_area_rate_residuals, evolution_residual_median
@@ -193,7 +193,7 @@ def test_criterion_08_envelopes(level3):
     r_max = np.full_like(t, r * 0.6)
     r_max[31] = 0.5 * level3.window[1]  # pushed far above beta
     r_min = np.full_like(t, r * 1.4)
-    checks = envelope_check_series(
+    checks = envelope_check(
         t, r_min, r_max, r, *level3.window, tol=0.01, argmax=np.arange(50)
     )
     ceiling = [c for c in checks if c.name == "curvature_stays_below_beta"][0]

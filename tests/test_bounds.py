@@ -1,5 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from ricciflow import bounds
 
 from ricciflow import (
     HypothesisError,
@@ -14,11 +20,7 @@ from ricciflow import (
     scale_metric,
     track_branches,
 )
-from ricciflow.bounds import (
-    corridor_check_series,
-    envelope_check_series,
-    rmax_ode_series,
-)
+from ricciflow.bounds import DEFAULT_C_DISC, DEFAULT_TOL_RATIO, mean_edge_length, surface_checks
 
 
 def test_envelope_trivial_constant_curvature():
@@ -26,7 +28,7 @@ def test_envelope_trivial_constant_curvature():
     t = np.linspace(0.0, 3.0, 20)
     r = -2.0
     series = np.full_like(t, r)
-    checks = envelope_check_series(t, series, series, r, -3.0, -1.0, tol=0.0)
+    checks = envelope_check(t, series, series, r, -3.0, -1.0, tol=0.0)
     assert all(c.satisfied for c in checks)
 
 
@@ -34,7 +36,7 @@ def test_envelope_t0_reduction():
     # at t = 0 the inequalities degenerate to alpha < R < beta facts
     t = np.array([0.0])
     r = -2.0
-    checks = envelope_check_series(t, [-2.5], [-1.5], r, -3.0, -1.0, tol=0.0)
+    checks = envelope_check(t, [-2.5], [-1.5], r, -3.0, -1.0, tol=0.0)
     assert all(c.satisfied for c in checks)
     lower, upper, ceiling = checks
     assert np.isclose(lower.worst_margin, (r - (-1.5)) - r)
@@ -49,7 +51,7 @@ def test_envelope_flags_fabricated_violation():
     r_max = np.full_like(t, -1.2)
     r_max[17] = -0.3  # fabricated excursion above beta
     r_min = np.full_like(t, -2.8)
-    checks = envelope_check_series(
+    checks = envelope_check(
         t, r_min, r_max, r, -3.0, beta, tol=0.05, argmin=None, argmax=np.arange(30)
     )
     ceiling = [c for c in checks if c.name == "curvature_stays_below_beta"][0]
@@ -62,16 +64,16 @@ def test_envelope_flags_fabricated_violation():
 
 def test_envelope_hypothesis_validation():
     with pytest.raises(HypothesisError):
-        envelope_check_series([0.0], [-2.0], [-2.0], -2.0, -1.5, -1.0, tol=0.0)
+        envelope_check([0.0], [-2.0], [-2.0], -2.0, -1.5, -1.0, tol=0.0)
 
 
 def test_rmax_ode_trivial_and_fabricated():
     t = np.linspace(0.0, 1.0, 10)
     r = -2.0
-    stationary = rmax_ode_series(t, np.full_like(t, r), r, tol=0.0)
+    stationary = rmax_ode_check(t, np.full_like(t, r), r, tol=0.0)
     assert stationary.satisfied
     rising = np.linspace(-1.5, -0.5, 10)  # fabricated: R_max increasing
-    bad = rmax_ode_series(t, rising, r, tol=0.0)
+    bad = rmax_ode_check(t, rising, r, tol=0.0)
     assert not bad.satisfied
     assert bad.worst_margin < 0.0
 
@@ -81,7 +83,7 @@ def test_corridor_trivial_shapes():
     times = np.linspace(0.0, 1.0, 9)
     values = np.vstack([np.full(9, 1e-12), 4.0 * np.ones(9), 7.0 * np.ones(9)])
     flagged = np.zeros((3, 9), dtype=bool)
-    check = corridor_check_series(
+    check = log_derivative_corridor_check(
         times, values, flagged, r, alpha, beta, h=0.0, branches=[1, 2], c_disc=0.0
     )
     # constant branches: derivative 0, corridor [alpha e^{rt}, -r e^{beta t}]
@@ -102,7 +104,7 @@ def test_corridor_flags_violation():
     rising = 4.0 * np.exp(3.0 * times)  # d log/dt = 3 > -r e^{beta t}
     values = np.vstack([np.full(9, 1e-12), rising])
     flagged = np.zeros((2, 9), dtype=bool)
-    check = corridor_check_series(
+    check = log_derivative_corridor_check(
         times, values, flagged, r, alpha, beta, h=0.0, branches=[1], c_disc=0.0
     )
     assert not check.satisfied
@@ -235,14 +237,63 @@ def test_checks_on_real_run(run1):
     trace = run1["trace"]
     alpha, beta = run1["window"]
     branches = track_branches(trace.snapshots())
-    for check in envelope_check(trace, alpha, beta):
+    inputs = {
+        "alpha": alpha,
+        "beta": beta,
+        "r": trace.r,
+        "mean_edge_length": mean_edge_length(trace),
+        "c_disc": DEFAULT_C_DISC,
+        "tol_ratio": DEFAULT_TOL_RATIO,
+        "k": run1["config"].k,
+    }
+    checks, _ = surface_checks(trace.steps, vars(branches), inputs)
+    assert [c.name for c in checks] == [
+        "curvature_envelope_lower",
+        "curvature_envelope_upper",
+        "curvature_stays_below_beta",
+        "rmax_comparison_ode",
+        "log_derivative_corridor",
+        "eigenvalue_ratio_window",
+    ]
+    for check in checks:
         assert check.satisfied, check
-    assert rmax_ode_check(trace).satisfied
-    assert log_derivative_corridor_check(
-        trace, branches, alpha, beta, branches=[1, 2, 3, 4, 5]
-    ).satisfied
-    snaps = trace.snapshots()
-    mu0 = np.sort(snaps[0].eigenvalues)[1:11]
-    mu1 = np.sort(snaps[-1].eigenvalues)[1:11]
-    check, _ = ratio_bound_check(mu0, mu1, alpha, beta, trace.r)
-    assert check.satisfied
+
+
+def test_benchmark_tracer_records_check_spans(monkeypatch):
+    # perfbench/tracer.py patches the checks by module attribute; entering its
+    # session fails if a name it targets is gone, and the spans show that
+    # surface_checks still calls the checks through those attributes
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)
+    spec.loader.exec_module(tracer_module)
+
+    t = np.linspace(0.0, 0.5, 6)
+    steps = {"t": t, "R_min": np.full(6, -2.5), "R_max": np.full(6, -1.5)}
+    values = np.outer([1e-12, 2.0, 3.0, 5.0], np.ones(4))
+    spectrum = {
+        "times": np.linspace(0.0, 0.5, 4),
+        "values": values,
+        "flagged": np.zeros(values.shape, dtype=bool),
+        "sorted_values": values,
+    }
+    inputs = {
+        "alpha": -3.0,
+        "beta": -1.0,
+        "r": -2.0,
+        "mean_edge_length": 0.1,
+        "c_disc": DEFAULT_C_DISC,
+        "tol_ratio": DEFAULT_TOL_RATIO,
+        "k": 4,
+    }
+    tracer = tracer_module.Tracer(0)
+    with tracer.session():
+        checks, _ = bounds.surface_checks(steps, spectrum, inputs)
+    assert len(checks) == 6
+    assert {s.name for s in tracer.spans} >= {
+        "bounds.envelope_check",
+        "bounds.rmax_ode_check",
+        "bounds.log_derivative_corridor_check",
+        "bounds.ratio_bound_check",
+    }

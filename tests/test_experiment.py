@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -187,6 +188,9 @@ def test_cli_flow_and_audit(tmp_path):
         "curvature_envelope_lower",
         "eigenvalue_ratio_window",
     }
+    # the audit reproduces the live checks exactly, vertex witnesses included
+    assert audit["checks"] == read_report_json(out / "report.json")["checks"]
+    assert all(isinstance(c["witness"]["index"], int) for c in audit["checks"])
 
 
 def test_cli_pair_and_audit(tmp_path):
@@ -203,6 +207,15 @@ def test_cli_pair_and_audit(tmp_path):
     )
     assert cli_main(["pair", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert cli_main(["audit", "--dir", str(out), "--quiet"]) == 0
+    live = read_report_json(out / "report.json")
+    expected = [
+        dict(check, name=f"{surface}/{check['name']}")
+        for surface in ("surface_1", "surface_2")
+        for check in live[surface]["checks"]
+    ] + live["pair_checks"]
+    audit = read_report_json(out / "audit_report.json")
+    assert audit["checks"] == expected
+    assert audit["checks"][-1]["name"] == "consistency_chain"
 
 
 def test_flow_experiment_converged_at_start(tmp_path):
@@ -221,6 +234,8 @@ def test_flow_experiment_converged_at_start(tmp_path):
     for name in ("trace.csv", "spectrum.csv", "report.json"):
         assert (tmp_path / "idle" / name).exists()
     assert cli_main(["audit", "--dir", str(tmp_path / "idle"), "--quiet"]) == 0
+    audit = read_report_json(tmp_path / "idle" / "audit_report.json")
+    assert audit["checks"] == artifacts.report_dict["checks"]
 
 
 def test_cli_exit_one_on_violated_check(tmp_path):
@@ -266,6 +281,50 @@ def test_cli_audit_truncated_trace(tmp_path, capsys):
     write_report_json(tmp_path / "report.json", {"version": 1, "kind": "flow", "inputs": {}})
     (tmp_path / "trace.csv").write_text("t,dt,area,r,R_min,R_max,max_abs_R_minus_r\n")
     assert cli_main(["audit", "--dir", str(tmp_path), "--quiet"]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+
+
+@pytest.fixture(scope="module")
+def flow_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("flow") / "out"
+    run_flow_experiment(ExperimentConfig.from_dict(_config_dict(output_dir=str(out))))
+    return out
+
+
+def _edit_report(directory, edit):
+    report = read_report_json(directory / "report.json")
+    edit(report)
+    write_report_json(directory / "report.json", report)
+
+
+def _drop_columns(path, drop):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [j for j, name in enumerate(rows[0]) if not drop(name)]
+    path.write_text("".join(",".join(row[j] for j in keep) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(
+            lambda d: _edit_report(d, lambda r: r["inputs"].pop("c_disc")), id="input_key"
+        ),
+        pytest.param(lambda d: _edit_report(d, lambda r: r.pop("inputs")), id="no_inputs"),
+        pytest.param(lambda d: (d / "report.json").write_text("{not json\n"), id="not_json"),
+        pytest.param(lambda d: _drop_columns(d / "trace.csv", "R_max".__eq__), id="no_R_max"),
+        pytest.param(
+            lambda d: _drop_columns(d / "spectrum.csv", lambda name: name.startswith("branch_")),
+            id="no_branches",
+        ),
+        pytest.param(lambda d: (d / "spectrum.csv").unlink(), id="no_spectrum"),
+    ],
+)
+def test_cli_audit_malformed_artifacts(flow_dir, tmp_path, capsys, corrupt):
+    broken = tmp_path / "broken"
+    shutil.copytree(flow_dir, broken)
+    corrupt(broken)
+    assert cli_main(["audit", "--dir", str(broken), "--quiet"]) == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "ConfigError"
 

@@ -1,8 +1,16 @@
+import os
+import tempfile
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ricciflow import ConfigError, track_branches
 from ricciflow.reporting import (
+    TRACE_COLUMNS,
     canonical_json,
     format_float,
     read_report_json,
@@ -29,6 +37,7 @@ def test_trace_csv_round_trip(run1, tmp_path):
     for name, key in [
         ("t", "t"), ("dt", "dt"), ("area", "area"), ("r", "r"),
         ("R_min", "R_min"), ("R_max", "R_max"), ("max_abs_R_minus_r", "max_dev"),
+        ("argmin", "argmin"), ("argmax", "argmax"),
     ]:
         assert np.array_equal(data[name], steps[key]), name
 
@@ -42,6 +51,52 @@ def test_spectrum_csv_round_trip(run1, tmp_path):
     assert np.array_equal(data["values"], branches.values)
     assert np.array_equal(data["sorted_values"], branches.sorted_values)
     assert np.array_equal(data["flagged"], branches.flagged)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("rows", [1, 40])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_trace_csv_round_trip_exact(rows, data):
+    steps = {}
+    for key in TRACE_COLUMNS.values():
+        if key in ("argmin", "argmax"):
+            steps[key] = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, 10**9)))
+        else:
+            steps[key] = data.draw(hnp.arrays(np.float64, rows, elements=FINITE))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace_csv(path, SimpleNamespace(steps=steps))
+        read = read_trace_csv(path)
+    assert list(read) == list(TRACE_COLUMNS)
+    for name, key in TRACE_COLUMNS.items():
+        assert read[name].dtype == steps[key].dtype, name
+        assert np.array_equal(read[name], steps[key]), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_spectrum_csv_round_trip_exact(data):
+    k = data.draw(st.integers(1, 14))
+    times = data.draw(hnp.arrays(np.float64, st.integers(1, 20), elements=FINITE))
+    shape = (k, times.shape[0])
+    branch_set = SimpleNamespace(
+        k=k,
+        times=times,
+        values=data.draw(hnp.arrays(np.float64, shape, elements=FINITE)),
+        sorted_values=data.draw(hnp.arrays(np.float64, shape, elements=FINITE)),
+        flagged=data.draw(hnp.arrays(np.bool_, shape)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spectrum.csv")
+        write_spectrum_csv(path, branch_set)
+        read = read_spectrum_csv(path)
+    for name in ("times", "values", "sorted_values", "flagged"):
+        expected = getattr(branch_set, name)
+        assert read[name].dtype == expected.dtype, name
+        assert np.array_equal(read[name], expected), name
 
 
 @pytest.mark.parametrize("reader", [read_trace_csv, read_spectrum_csv])
