@@ -52,18 +52,18 @@ def _read_records(path):
     checks only ever see complete records.
     """
     try:
-        stored = read_report_json(os.path.join(path, "report.json"))
+        stored = _object(read_report_json(os.path.join(path, "report.json")), "report.json")
         kind = stored.get("kind")
         if kind == "flow":
-            return stored, {"": _surface_record(path, stored["inputs"])}, None
+            return stored, {"": _surface_record(path, stored)}, None
         if kind == "pair":
             surfaces = {
                 f"surface_{i}/": _surface_record(
-                    os.path.join(path, f"surface_{i}"), stored[f"surface_{i}"]["inputs"]
+                    os.path.join(path, f"surface_{i}"), stored[f"surface_{i}"]
                 )
                 for i in (1, 2)
             }
-            inputs = stored["inputs"]
+            inputs = _object(stored["inputs"], "inputs")
             window = (inputs["alpha"], inputs["beta"])
             pair_inputs = (window, inputs["r"], inputs["delta_hat"], inputs["tol_ratio"])
             return stored, surfaces, pair_inputs
@@ -72,7 +72,16 @@ def _read_records(path):
     raise ConfigError(f"unknown report kind {kind!r}")
 
 
-def _surface_record(path, stored_inputs):
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _surface_record(path, stored):
+    """The series record of one surface; ``stored`` is the report block
+    holding its ``inputs``."""
+    stored_inputs = _object(_object(stored, "surface block")["inputs"], "inputs")
     trace = read_trace_csv(os.path.join(path, "trace.csv"))
     steps = {name: trace[name] for name in ("t", "R_min", "R_max")}
     steps.update((name, trace[name]) for name in ("argmin", "argmax") if name in trace)

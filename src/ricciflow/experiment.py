@@ -211,8 +211,12 @@ def build_base_metric(config):
 
 
 def pde_residual_median(trace, active_dev=None):
-    """Median pointwise curvature-law residual over active interior samples."""
-    samples = trace.snapshot_samples()
+    """Median pointwise curvature-law residual over active interior samples.
+
+    The residual needs no spectrum, so every stored sample counts, including
+    one whose eigensolve failed.
+    """
+    samples = trace.samples
     if active_dev is None:
         active_dev = 20.0 * samples[-1].curvature.max_deviation()
     pooled = []

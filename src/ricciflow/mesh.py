@@ -11,6 +11,8 @@ import functools
 import io
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import (
     BoundaryEdgeError,
@@ -134,24 +136,12 @@ class TriangleMesh:
 
     def _check_connected(self):
         f_count = self.triangles.shape[0]
-        parent = np.arange(f_count, dtype=np.int64)
-
-        def find(a):
-            root = a
-            while parent[root] != root:
-                root = parent[root]
-            while parent[a] != root:
-                parent[a], a = root, parent[a]
-            return root
-
-        for t1, t2 in self.edge_triangles:
-            r1, r2 = find(t1), find(t2)
-            if r1 != r2:
-                parent[r2] = r1
-        roots = {find(t) for t in range(f_count)}
-        if len(roots) != 1:
+        t1, t2 = self.edge_triangles.T
+        adjacency = sparse.coo_matrix((np.ones(t1.size), (t1, t2)), shape=(f_count, f_count))
+        n_components, _ = csgraph.connected_components(adjacency, directed=False)
+        if n_components != 1:
             raise DisconnectedError(
-                f"triangle adjacency graph has {len(roots)} components"
+                f"triangle adjacency graph has {n_components} components"
             )
 
     @functools.cached_property
@@ -272,13 +262,16 @@ def load_off(source):
 
 
 def _read_text(source):
-    if isinstance(source, bytes):
-        return source.decode("ascii")
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("ascii") if isinstance(data, bytes) else data
-    with io.open(source, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        if isinstance(source, bytes):
+            return source.decode("ascii")
+        if hasattr(source, "read"):
+            data = source.read()
+            return data.decode("ascii") if isinstance(data, bytes) else data
+        with io.open(source, "r", encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(f"cannot read OFF data: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +292,11 @@ def _read_text(source):
 # every vertex degree per level, so a low-degree base is what keeps deep
 # levels well enough conditioned for explicit time integration.
 #
-# Gluing is tracked with half-edge twins, so subdivision stays well-defined
-# while several distinct edges join the same vertex classes.
+# The glued complex is simplicial, and barycentric subdivision keeps it so:
+# a sorted vertex pair names exactly one edge at every level, and that pair
+# is the generator's only notion of edge identity. Each triangle still keeps
+# its own hyperboloid chart (``txyz``), because a glued vertex has one
+# position per side of the octagon.
 # ---------------------------------------------------------------------------
 
 # Interior ring radii of the base complex, tuned so that the stiffest
@@ -327,10 +323,10 @@ def generate_genus2(subdivision_level):
     level = int(subdivision_level)
     if level < 0:
         raise ValueError("subdivision_level must be non-negative")
-    nv, tv, txyz, twin = _octagon_base()
+    nv, tv, txyz = _octagon_base()
     for _ in range(level):
-        nv, tv, txyz, twin = _barycentric_subdivide(nv, tv, txyz, twin)
-    mesh, lengths = _extract_mesh(nv, tv, txyz, twin)
+        nv, tv, txyz = _barycentric_subdivide(nv, tv, txyz)
+    mesh, lengths = _extract_mesh(nv, tv, txyz)
     if mesh.chi != -2:
         raise MeshInvariantError(f"generator produced chi={mesh.chi}")
 
@@ -371,7 +367,8 @@ def _octagon_base():
     mid = [_geodesic_point(corners[i], corners[(i + 1) % 8], 0.50) for i in range(8)]
     threeq = [_geodesic_point(corners[i], corners[(i + 1) % 8], 0.75) for i in range(8)]
 
-    coords = [np.array([1.0, 0.0, 0.0])]  # 0: center
+    # Vertex ids follow the order of ``coords``: the center, ring B, ring A,
+    # then the corner, quarter, mid and three-quarter points of each side.
     ring_b = list(range(1, 7))
     ring_a = list(range(7, 19))
     k_ids = list(range(19, 27))
@@ -380,30 +377,16 @@ def _octagon_base():
     q_ids = list(range(43, 51))
 
     # Outer 24-gon: the octagon boundary with corners clipped off.
-    orbit = []
-    for i in range(8):
-        orbit += [p_ids[i], m_ids[i], q_ids[i]]
-
-    def angle_of(v):
-        return np.arctan2(v[2], v[1])
-
-    outer_pts = {}
-    for i in range(8):
-        outer_pts[k_ids[i]] = corners[i]
-        outer_pts[p_ids[i]] = quarter[i]
-        outer_pts[m_ids[i]] = mid[i]
-        outer_pts[q_ids[i]] = threeq[i]
-    orbit_angles = np.unwrap([angle_of(outer_pts[v]) for v in orbit])
+    orbit = [v for i in range(8) for v in (p_ids[i], m_ids[i], q_ids[i])]
+    orbit_pts = [x for i in range(8) for x in (quarter[i], mid[i], threeq[i])]
+    orbit_angles = np.unwrap([np.arctan2(x[2], x[1]) for x in orbit_pts])
 
     a_angles = [(orbit_angles[2 * j] + orbit_angles[2 * j + 1]) / 2.0 for j in range(12)]
     a_pts = [_polar_point(RING_A_RADIUS, t) for t in a_angles]
     b_angles = [(a_angles[2 * l] + a_angles[2 * l + 1]) / 2.0 for l in range(6)]
     b_pts = [_polar_point(RING_B_RADIUS, t) for t in b_angles]
-
-    coords += b_pts + a_pts
-    for ids, table in ((k_ids, corners), (p_ids, quarter), (m_ids, mid), (q_ids, threeq)):
-        coords += [table[i] for i in range(8)]
-    coords = np.array(coords)
+    center = np.array([1.0, 0.0, 0.0])
+    coords = np.array([center] + b_pts + a_pts + corners + quarter + mid + threeq)
 
     tris = []
     for i in range(8):  # corner flaps: the only triangles at a corner
@@ -430,17 +413,9 @@ def _octagon_base():
         if a[0] * b[1] - a[1] * b[0] < 0.0:
             tris[t] = tris[t, ::-1]
 
-    # Interior twins by directed-edge matching in the (unglued) disk.
-    directed = {}
-    for t in range(tris.shape[0]):
-        for k in range(3):
-            directed[(tris[t, k], tris[t, (k + 1) % 3])] = (t, k)
-    twin = np.full((tris.shape[0], 3, 2), -1, dtype=np.int64)
-    for (a, b), (t, k) in directed.items():
-        if (b, a) in directed:
-            twin[t, k] = directed[(b, a)]
-
     # Side pairing of a b a' b' c d c' d': sides (0,2), (1,3), (4,6), (5,7).
+    # The gluing reverses orientation, so each side's five points zip against
+    # its partner's points in reverse order.
     sigma = {0: 2, 2: 0, 1: 3, 3: 1, 4: 6, 6: 4, 5: 7, 7: 5}
     parent = list(range(coords.shape[0]))
 
@@ -450,79 +425,43 @@ def _octagon_base():
             x = parent[x]
         return x
 
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    def side_subedges(i):
-        return [
-            (k_ids[i], p_ids[i]),
-            (p_ids[i], m_ids[i]),
-            (m_ids[i], q_ids[i]),
-            (q_ids[i], k_ids[(i + 1) % 8]),
-        ]
+    def side_points(i):
+        return [k_ids[i], p_ids[i], m_ids[i], q_ids[i], k_ids[(i + 1) % 8]]
 
     for i in (i for i in range(8) if i < sigma[i]):
-        own = side_subedges(i)
-        partner = side_subedges(sigma[i])
-        for s in range(4):
-            (a, b) = own[s]
-            (c, d) = partner[3 - s]
-            he1 = directed[(a, b)]
-            he2 = directed[(c, d)]
-            if twin[he1[0], he1[1], 0] != -1 or twin[he2[0], he2[1], 0] != -1:
-                raise MeshInvariantError("boundary sub-edge is not free")
-            twin[he1[0], he1[1]] = he2
-            twin[he2[0], he2[1]] = he1
-            union(a, d)  # the gluing reverses orientation
-            union(b, c)
+        for a, b in zip(side_points(i), side_points(sigma[i])[::-1]):
+            parent[find(a)] = find(b)
 
-    if np.any(twin[..., 0] < 0):
-        raise MeshInvariantError("unmatched half-edge in base complex")
-
-    roots = sorted({find(v) for v in range(coords.shape[0])})
-    quotient = {root: idx for idx, root in enumerate(roots)}
-    nv = len(roots)
+    roots = [find(v) for v in range(coords.shape[0])]
+    quotient = {root: idx for idx, root in enumerate(sorted(set(roots)))}
+    nv = len(quotient)
     if nv != 32:
         raise MeshInvariantError(f"base complex has {nv} vertex classes, expected 32")
-
-    tv = np.empty_like(tris)
-    txyz = np.empty((tris.shape[0], 3, 3))
-    for t in range(tris.shape[0]):
-        for k in range(3):
-            tv[t, k] = quotient[find(tris[t, k])]
-            txyz[t, k] = coords[tris[t, k]]
-    _check_halfedges(tv, twin)
-    return nv, tv, txyz, twin
+    vertex_class = np.array([quotient[root] for root in roots], dtype=np.int64)
+    return nv, vertex_class[tris], coords[tris]
 
 
-def _check_halfedges(tv, twin):
+def _edge_of_halfedge(nv, tv):
+    """Edge id of each half-edge ``(tv[t, k], tv[t, k+1])`` of a simplicial
+    complex, plus the edge count.
+
+    Edges are keyed by their sorted vertex pair and numbered in the order of
+    the first half-edge (row-major over ``tv``) that names them.
+    """
+    heads, tails = tv, np.roll(tv, -1, axis=1)
+    keys = np.minimum(heads, tails) * nv + np.maximum(heads, tails)
+    _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse].reshape(tv.shape), first.size
+
+
+def _barycentric_subdivide(nv, tv, txyz):
     f_count = tv.shape[0]
-    t2, k2 = twin[..., 0], twin[..., 1]
-    rt, rk = twin[t2, k2, 0], twin[t2, k2, 1]
-    ts = np.broadcast_to(np.arange(f_count)[:, None], (f_count, 3))
-    ks = np.broadcast_to(np.arange(3)[None, :], (f_count, 3))
-    if not (np.array_equal(rt, ts) and np.array_equal(rk, ks)):
-        raise MeshInvariantError("half-edge twins are not involutive")
-    heads = tv[ts, ks]
-    tails = tv[ts, (ks + 1) % 3]
-    if not (
-        np.array_equal(heads, tv[t2, (k2 + 1) % 3])
-        and np.array_equal(tails, tv[t2, k2])
-    ):
-        raise MeshInvariantError("half-edge twins disagree on endpoints")
-
-
-def _barycentric_subdivide(nv, tv, txyz, twin):
-    f_count = tv.shape[0]
-    flat = np.arange(f_count)[:, None] * 3 + np.arange(3)[None, :]
-    twin_flat = twin[..., 0] * 3 + twin[..., 1]
-    canon = np.minimum(flat, twin_flat)
-    edge_keys, edge_of_he = np.unique(canon, return_inverse=True)
-    edge_of_he = edge_of_he.reshape(f_count, 3)
-    n_edges = edge_keys.size
+    edge_of_he, n_edges = _edge_of_halfedge(nv, tv)
 
     mid_vid = nv + edge_of_he
-    bary_vid = nv + n_edges + np.arange(f_count)
+    bary_vid = np.broadcast_to(nv + n_edges + np.arange(f_count)[:, None], tv.shape)
 
     corner = txyz
     mid_xyz = _hyperboloid_normalize(corner + np.roll(corner, -1, axis=1))
@@ -533,78 +472,34 @@ def _barycentric_subdivide(nv, tv, txyz, twin):
     side = _hyperbolic_distance(corner, np.roll(corner, -1, axis=1))
     opp_len = np.roll(side, -1, axis=1)
     bary_xyz = _hyperboloid_normalize((opp_len[..., None] * corner).sum(axis=1))
+    bary_xyz = np.broadcast_to(bary_xyz[:, None], corner.shape)
 
     # Children of triangle t, in slots 6t..6t+5:
     #   slot 2k   = (v_k, m_k, b)
     #   slot 2k+1 = (m_k, v_{k+1}, b)
-    new_tv = np.empty((6 * f_count, 3), dtype=np.int64)
-    new_xyz = np.empty((6 * f_count, 3, 3))
-    for k in range(3):
-        even = 6 * np.arange(f_count) + 2 * k
-        odd = even + 1
-        new_tv[even, 0] = tv[:, k]
-        new_tv[even, 1] = mid_vid[:, k]
-        new_tv[even, 2] = bary_vid
-        new_xyz[even, 0] = corner[:, k]
-        new_xyz[even, 1] = mid_xyz[:, k]
-        new_xyz[even, 2] = bary_xyz
-        new_tv[odd, 0] = mid_vid[:, k]
-        new_tv[odd, 1] = tv[:, (k + 1) % 3]
-        new_tv[odd, 2] = bary_vid
-        new_xyz[odd, 0] = mid_xyz[:, k]
-        new_xyz[odd, 1] = corner[:, (k + 1) % 3]
-        new_xyz[odd, 2] = bary_xyz
-
-    new_twin = np.empty((6 * f_count, 3, 2), dtype=np.int64)
-    base = 6 * np.arange(f_count)
-    t2 = twin[..., 0]
-    k2 = twin[..., 1]
-    for k in range(3):
-        even = base + 2 * k
-        odd = even + 1
-        nxt = base + 2 * ((k + 1) % 3)
-        # interior spokes of the parent triangle
-        new_twin[even, 1, 0] = odd
-        new_twin[even, 1, 1] = 2
-        new_twin[odd, 2, 0] = even
-        new_twin[odd, 2, 1] = 1
-        new_twin[odd, 1, 0] = nxt
-        new_twin[odd, 1, 1] = 2
-        new_twin[nxt, 2, 0] = odd
-        new_twin[nxt, 2, 1] = 1
-        # halves of the parent edge, glued across to the parent twin's halves
-        other_even = 6 * t2[:, k] + 2 * k2[:, k]
-        new_twin[even, 0, 0] = other_even + 1
-        new_twin[even, 0, 1] = 0
-        new_twin[odd, 0, 0] = other_even
-        new_twin[odd, 0, 1] = 0
-
-    _check_halfedges(new_tv, new_twin)
-    return nv + n_edges + f_count, new_tv, new_xyz, new_twin
+    # Stacking both children of side k along axis 2 puts them at 6t+2k, 6t+2k+1.
+    new_tv = np.stack(
+        [tv, mid_vid, bary_vid, mid_vid, np.roll(tv, -1, axis=1), bary_vid], axis=2
+    ).reshape(6 * f_count, 3)
+    new_xyz = np.stack(
+        [corner, mid_xyz, bary_xyz, mid_xyz, np.roll(corner, -1, axis=1), bary_xyz], axis=2
+    ).reshape(6 * f_count, 3, 3)
+    return nv + n_edges + f_count, new_tv, new_xyz
 
 
-def _extract_mesh(nv, tv, txyz, twin):
-    f_count = tv.shape[0]
-    flat = np.arange(f_count)[:, None] * 3 + np.arange(3)[None, :]
-    twin_flat = twin[..., 0] * 3 + twin[..., 1]
-    ends = np.stack([txyz, np.roll(txyz, -1, axis=1)], axis=2)
-    seglen = _hyperbolic_distance(ends[:, :, 0], ends[:, :, 1])
+def _extract_mesh(nv, tv, txyz):
+    mesh = TriangleMesh(nv, tv)
+    he_edge = mesh.edge_index(np.stack([tv, np.roll(tv, -1, axis=1)], axis=2)).reshape(-1)
+    seglen = _hyperbolic_distance(txyz, np.roll(txyz, -1, axis=1)).reshape(-1)
 
     # Glued half-edges live in different charts; the gluing is an isometry,
     # so both charts must report the same length.
-    other = seglen.reshape(-1)[twin_flat.reshape(-1)].reshape(f_count, 3)
-    if not np.allclose(seglen, other, rtol=0.0, atol=1e-9):
+    lo = np.full(mesh.edge_count, np.inf)
+    hi = np.full(mesh.edge_count, -np.inf)
+    np.minimum.at(lo, he_edge, seglen)
+    np.maximum.at(hi, he_edge, seglen)
+    if not np.all(hi - lo <= 1e-9):
         raise MeshInvariantError("glued half-edges disagree on length")
 
-    mesh = TriangleMesh(nv, tv)
-    is_canon = flat <= twin_flat
-    heads = tv[is_canon.nonzero()]
-    ks = is_canon.nonzero()[1]
-    ts = is_canon.nonzero()[0]
-    pair = np.stack([tv[ts, ks], tv[ts, (ks + 1) % 3]], axis=1)
-    idx = mesh.edge_index(pair)
-    lengths = np.zeros(mesh.edge_count)
-    lengths[idx] = seglen[ts, ks]
-    if np.any(lengths <= 0.0):
-        raise MeshInvariantError("generator failed to assign all edge lengths")
-    return mesh, lengths
+    _, first = np.unique(he_edge, return_index=True)
+    return mesh, seglen[first]

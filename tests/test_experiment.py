@@ -12,9 +12,12 @@ from ricciflow import flow as flow_module
 from ricciflow.cli import main as cli_main
 from ricciflow.experiment import (
     ExperimentConfig,
+    build_base_metric,
+    pde_residual_median,
     run_flow_experiment,
     run_pair_experiment,
 )
+from ricciflow.geometry import perturb_metric
 from ricciflow.reporting import read_report_json, write_report_json
 
 
@@ -285,6 +288,44 @@ def test_cli_audit_truncated_trace(tmp_path, capsys):
     assert payload["error"] == "ConfigError"
 
 
+def test_cli_missing_off_file(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict(mesh={"off": str(tmp_path / "absent.off")}))
+    assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "MeshFormatError"
+
+
+def test_pde_residual_median_reads_every_sample(monkeypatch):
+    # a failed mid-run eigensolve leaves a sample without a spectrum; the
+    # curvature-law residual needs none, so the gate and the residual must
+    # both read trace.samples
+    real = flow_module.smallest_eigenpairs
+    calls = []
+
+    def solver(stiffness, mass, k, tol, seed, t=0.0):
+        calls.append(t)
+        if len(calls) == 4:
+            raise EigensolverError("injected failure")
+        return real(stiffness, mass, k, tol, seed, t=t)
+
+    monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
+    config = ExperimentConfig.from_dict(
+        _config_dict(mesh={"generator": "genus2", "level": 1}, flow={"spectrum_every": 10})
+    )
+    metric, _ = perturb_metric(build_base_metric(config), 0.02, 11)
+    trace = flow_module.run_flow(metric, config.flow)
+    samples = trace.samples
+    assert len(trace.snapshot_samples()) == len(samples) - 1
+    active = 20.0 * samples[-1].curvature.max_deviation()
+    pooled = [
+        np.abs(flow_module.curvature_pde_residual(trace, j))
+        for j in range(1, len(samples) - 1)
+        if samples[j].curvature.max_deviation() >= active
+    ]
+    assert pde_residual_median(trace) == float(np.median(np.concatenate(pooled)))
+
+
 @pytest.fixture(scope="module")
 def flow_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("flow") / "out"
@@ -318,6 +359,8 @@ def _drop_columns(path, drop):
             id="no_branches",
         ),
         pytest.param(lambda d: (d / "spectrum.csv").unlink(), id="no_spectrum"),
+        pytest.param(lambda d: write_report_json(d / "report.json", []), id="top_level_list"),
+        pytest.param(lambda d: _edit_report(d, lambda r: r.update(inputs=None)), id="inputs_null"),
     ],
 )
 def test_cli_audit_malformed_artifacts(flow_dir, tmp_path, capsys, corrupt):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 
@@ -9,6 +10,7 @@ from ricciflow import (
     ConformalMetric,
     DisconnectedError,
     MeshFormatError,
+    MeshInvariantError,
     NonManifoldError,
     NonOrientableError,
     TriangleMesh,
@@ -17,6 +19,7 @@ from ricciflow import (
     load_off,
     measure_curvature,
 )
+from ricciflow import mesh as mesh_module
 
 from meshes import BOUNDARY_OFF, NON_MANIFOLD_OFF, NON_ORIENTABLE_OFF, TETRA_OFF
 
@@ -79,6 +82,17 @@ def test_parse_failures(mutation):
         load_off(io.StringIO(mutation(TETRA_OFF)))
 
 
+@pytest.mark.parametrize(
+    "content", [None, TETRA_OFF.encode("ascii") + b"\xff\n"], ids=["missing", "non_ascii"]
+)
+def test_unreadable_file_rejected(tmp_path, content):
+    path = tmp_path / "mesh.off"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(MeshFormatError):
+        load_off(path)
+
+
 def test_zero_length_edge_rejected():
     bad = TETRA_OFF.replace("1 0 0", "0 0 0")
     with pytest.raises(MeshFormatError):
@@ -116,6 +130,57 @@ def test_generator_negative_curvature(level):
     defects = measure_curvature(ConformalMetric.flat(mesh, lengths)).defect
     assert (defects < 0.0).all()
     assert abs(defects.sum() - 2.0 * np.pi * mesh.chi) < 1e-9
+
+
+# sha256 of triangles.tobytes() and edges.tobytes() (int64), then the sum of
+# the base lengths and of their squares. Any change to the generator's vertex
+# or edge numbering, or to its chart arithmetic, moves these.
+GENERATOR_PINS = {
+    0: (
+        "e449a615c72c3866446b6a997a7eaeb23a3a015cacc3b414037b5804cc2fcb1b",
+        "68f768b661954fcb0bc84fc04d55ee61ce7c7298e67529582e22cbb7ef78cf32",
+        71.49611054757409,
+        52.67562218749353,
+    ),
+    1: (
+        "8a1d70be79cef02ab76a400afe6284f0ea8cccd1b2e34f40b08a554dac4c4541",
+        "c5ea687bb3e94e49a1a2efe143518a57f00dc533ff264e24cf7fd7b29eb64f73",
+        193.58130980457776,
+        69.8960735307507,
+    ),
+    2: (
+        "df39a9c261cbd984c1b65ac8068897f80e0c339a86c4f72c92c7642b23e9ce08",
+        "fb5156b1171022f08f4bfc063b8807c0bea1b41e5f6f7afe87115898087a4625",
+        533.357461912431,
+        98.35714160136362,
+    ),
+    3: (
+        "6e4db4dff8b66ffc212cfda4f58d871447370daba6b79957ea186fe895c91328",
+        "af1badd492849054c197b90498d865eed35f9b5c2fcfe385b7c7a80103844ce1",
+        1451.6782997808532,
+        137.99813093119383,
+    ),
+}
+
+
+@pytest.mark.parametrize("level", sorted(GENERATOR_PINS))
+def test_generator_output_pinned(level):
+    tri_sha, edge_sha, length_sum, square_sum = GENERATOR_PINS[level]
+    mesh, lengths = generate_genus2(level)
+    assert hashlib.sha256(mesh.triangles.tobytes()).hexdigest() == tri_sha
+    assert hashlib.sha256(mesh.edges.tobytes()).hexdigest() == edge_sha
+    assert lengths.sum() == pytest.approx(length_sum, rel=1e-12)
+    assert (lengths**2).sum() == pytest.approx(square_sum, rel=1e-12)
+
+
+def test_generator_rejects_charts_that_disagree():
+    # each triangle measures its sides in its own chart, so a glued edge is
+    # measured twice; moving one chart point breaks the isometry
+    nv, tv, txyz = mesh_module._octagon_base()
+    txyz = txyz.copy()
+    txyz[0, 0] = mesh_module._geodesic_point(txyz[0, 0], txyz[0, 1], 0.01)
+    with pytest.raises(MeshInvariantError):
+        mesh_module._extract_mesh(nv, tv, txyz)
 
 
 def test_validation_idempotent():
