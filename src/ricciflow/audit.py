@@ -13,12 +13,18 @@ existed still audits, with envelope witnesses that carry times only.
 
 from __future__ import annotations
 
-import datetime
 import os
 
 from . import bounds as bnd
 from .errors import ConfigError
-from .reporting import read_report_json, read_spectrum_csv, read_trace_csv, write_report_json
+from .reporting import (
+    json_object,
+    read_report_json,
+    read_spectrum_csv,
+    read_trace_csv,
+    timestamp,
+    write_report_json,
+)
 
 
 def audit_directory(path):
@@ -35,7 +41,7 @@ def audit_directory(path):
     result = {
         "version": 1,
         "kind": f"audit_{stored['kind']}",
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "generated_at": timestamp(),
         "source_report": stored.get("generated_at"),
         "checks": checks,
         "all_satisfied": all(c["satisfied"] for c in checks),
@@ -52,7 +58,7 @@ def _read_records(path):
     checks only ever see complete records.
     """
     try:
-        stored = _object(read_report_json(os.path.join(path, "report.json")), "report.json")
+        stored = json_object(read_report_json(os.path.join(path, "report.json")), "report.json")
         kind = stored.get("kind")
         if kind == "flow":
             return stored, {"": _surface_record(path, stored)}, None
@@ -63,7 +69,7 @@ def _read_records(path):
                 )
                 for i in (1, 2)
             }
-            inputs = _object(stored["inputs"], "inputs")
+            inputs = json_object(stored["inputs"], "inputs")
             window = (inputs["alpha"], inputs["beta"])
             pair_inputs = (window, inputs["r"], inputs["delta_hat"], inputs["tol_ratio"])
             return stored, surfaces, pair_inputs
@@ -72,16 +78,10 @@ def _read_records(path):
     raise ConfigError(f"unknown report kind {kind!r}")
 
 
-def _object(value, what):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
 def _surface_record(path, stored):
     """The series record of one surface; ``stored`` is the report block
     holding its ``inputs``."""
-    stored_inputs = _object(_object(stored, "surface block")["inputs"], "inputs")
+    stored_inputs = json_object(json_object(stored, "surface block")["inputs"], "inputs")
     trace = read_trace_csv(os.path.join(path, "trace.csv"))
     steps = {name: trace[name] for name in ("t", "R_min", "R_max")}
     steps.update((name, trace[name]) for name in ("argmin", "argmax") if name in trace)

@@ -77,6 +77,15 @@ def _say(args, message):
         print(message)
 
 
+def _say_checks(args, checks):
+    for check in checks:
+        _say(
+            args,
+            f"  {check['name']}: {'ok' if check['satisfied'] else 'VIOLATED'} "
+            f"margin={check['worst_margin']:+.6g}",
+        )
+
+
 def _cmd_gen(args):
     from .geometry import ConformalMetric, measure_curvature
     from .mesh import generate_genus2
@@ -125,7 +134,10 @@ def _load_config(args):
     if args.out:
         updates["output_dir"] = args.out
     if args.seed is not None:
-        updates["flow"] = dc_replace(config.flow, seed=args.seed)
+        try:
+            updates["flow"] = dc_replace(config.flow, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid --seed: {exc}") from exc
     if updates:
         config = dc_replace(config, **updates)
     return config
@@ -148,12 +160,7 @@ def _cmd_flow(args):
     artifacts = run_flow_experiment(config, progress=_progress_printer(args))
     ok = artifacts.report_dict["all_satisfied"]
     _say(args, f"converged={artifacts.trace.converged} checks_satisfied={ok}")
-    for check in artifacts.report.checks:
-        _say(
-            args,
-            f"  {check.name}: {'ok' if check.satisfied else 'VIOLATED'} "
-            f"margin={check.worst_margin:+.6g}",
-        )
+    _say_checks(args, artifacts.report_dict["checks"])
     return 0 if ok else 1
 
 
@@ -168,12 +175,7 @@ def _cmd_pair(args):
         f"delta_hat={artifacts.delta_hat:.6g} bound_factor={artifacts.bound_factor:.6g} "
         f"checks_satisfied={ok}",
     )
-    for check in artifacts.report_dict["pair_checks"]:
-        _say(
-            args,
-            f"  {check['name']}: {'ok' if check['satisfied'] else 'VIOLATED'} "
-            f"margin={check['worst_margin']:+.6g}",
-        )
+    _say_checks(args, artifacts.report_dict["pair_checks"])
     return 0 if ok else 1
 
 
@@ -203,12 +205,7 @@ def _cmd_audit(args):
     result = audit_directory(args.dir)
     ok = result["all_satisfied"]
     _say(args, f"audit: checks_satisfied={ok}")
-    for check in result["checks"]:
-        _say(
-            args,
-            f"  {check['name']}: {'ok' if check['satisfied'] else 'VIOLATED'} "
-            f"margin={check['worst_margin']:+.6g}",
-        )
+    _say_checks(args, result["checks"])
     return 0 if ok else 1
 
 

@@ -2,37 +2,41 @@
 
 A flow experiment builds a surface (generated or loaded), normalizes its
 area, perturbs it, runs the flow, tracks the spectrum, and evaluates every
-applicable bound check. The pair experiment does this for two perturbations
-of the same base surface concurrently and adds the two-surface comparison
-checks, including the end-to-end spectral comparison with the measured
-distortion bound of the two limits.
+applicable bound check. The pair experiment builds the base surface once,
+runs this for two perturbations of it concurrently, and adds the two-surface
+comparison checks, including the end-to-end spectral comparison with the
+measured distortion bound of the two limits.
 """
 
 from __future__ import annotations
 
-import datetime
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bounds as bnd
 from .errors import ConfigError, EigensolverError, HypothesisError
-from .flow import FlowConfig, curvature_pde_residual, monotonicity_violations, run_flow
+from .flow import FlowConfig, integer_at_least, monotonicity_violations, run_flow
 from .geometry import ConformalMetric, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
 from .reporting import (
+    json_object,
+    timestamp,
     write_plot_series,
     write_report_json,
     write_spectrum_csv,
     write_trace_csv,
 )
 from .tracking import (
+    DEFAULT_GAP_TOL,
+    DEFAULT_OVERLAP_MIN,
     BranchSet,
     dual_area_rate_residuals,
     evolution_residual_median,
     normalization_rate_residuals,
+    pde_residual_median,
     track_branches,
 )
 
@@ -41,28 +45,28 @@ AREA_MODES = ("unit", "minus_two_pi_chi")
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    amplitude: float = 0.0
-    seed: int = 0
+    amplitude: float
+    seed: int
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (see ``from_dict`` for the schema)."""
+    """Validated experiment description; ``from_dict`` holds the schema and the defaults."""
 
-    generator_level: int | None = 2
-    off_path: str | None = None
-    area_normalization: str = "minus_two_pi_chi"
-    perturbations: tuple = (PerturbationSpec(0.02, 1),)
-    flow: FlowConfig = field(default_factory=FlowConfig)
-    output_dir: str | None = None
-    emit_trace_csv: bool = True
-    emit_spectrum_csv: bool = True
-    emit_report_json: bool = True
-    emit_plot_data: bool = False
-    c_disc: float = bnd.DEFAULT_C_DISC
-    tol_ratio: float = bnd.DEFAULT_TOL_RATIO
-    overlap_min: float = 0.6
-    gap_tol: float = 1e-3
+    generator_level: int | None
+    off_path: str | None
+    area_normalization: str
+    perturbations: tuple
+    flow: FlowConfig
+    output_dir: str | None
+    emit_trace_csv: bool
+    emit_spectrum_csv: bool
+    emit_report_json: bool
+    emit_plot_data: bool
+    c_disc: float
+    tol_ratio: float
+    overlap_min: float
+    gap_tol: float
 
     def __post_init__(self):
         if (self.generator_level is None) == (self.off_path is None):
@@ -74,62 +78,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        _reject_unknown(data, {"version", "mesh", "area", "perturbations", "flow",
-                               "emit", "checks", "output_dir"}, "top level")
-        if data.get("version") != 1:
-            raise ConfigError("config requires 'version': 1")
-
-        mesh = data.get("mesh", {})
-        _reject_unknown(mesh, {"generator", "level", "off"}, "mesh")
-        level = None
-        off_path = None
-        if "off" in mesh:
-            off_path = str(mesh["off"])
-            if "generator" in mesh or "level" in mesh:
-                raise ConfigError("mesh source must be either a generator or an OFF path")
-        else:
-            if mesh.get("generator", "genus2") != "genus2":
-                raise ConfigError("only the 'genus2' generator is available")
-            level = int(mesh.get("level", 2))
-
-        perts = data.get("perturbations", [{}])
-        specs = []
-        for entry in perts:
-            _reject_unknown(entry, {"amplitude", "seed"}, "perturbations")
-            amplitude = _finite(entry.get("amplitude", 0.0), "perturbation amplitude")
-            specs.append(PerturbationSpec(amplitude, int(entry.get("seed", 0))))
-
-        flow_data = dict(data.get("flow", {}))
-        valid_flow = set(FlowConfig.__dataclass_fields__)
-        _reject_unknown(flow_data, valid_flow, "flow")
+        """Parse a config dict; a value of the wrong type or range raises ConfigError."""
         try:
-            flow = FlowConfig(**flow_data)
-        except ValueError as exc:
-            raise ConfigError(f"invalid flow settings: {exc}") from exc
-
-        emit = dict(data.get("emit", {}))
-        _reject_unknown(emit, {"trace_csv", "spectrum_csv", "report_json", "plot_data"}, "emit")
-
-        checks = dict(data.get("checks", {}))
-        _reject_unknown(checks, {"c_disc", "tol_ratio", "overlap_min", "gap_tol"}, "checks")
-
-        return cls(
-            generator_level=level,
-            off_path=off_path,
-            area_normalization=data.get("area", "minus_two_pi_chi"),
-            perturbations=tuple(specs),
-            flow=flow,
-            output_dir=data.get("output_dir"),
-            emit_trace_csv=bool(emit.get("trace_csv", True)),
-            emit_spectrum_csv=bool(emit.get("spectrum_csv", True)),
-            emit_report_json=bool(emit.get("report_json", True)),
-            emit_plot_data=bool(emit.get("plot_data", False)),
-            c_disc=_finite(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc"),
-            tol_ratio=_finite(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio"),
-            overlap_min=_finite(checks.get("overlap_min", 0.6), "overlap_min"),
-            gap_tol=_finite(checks.get("gap_tol", 1e-3), "gap_tol"),
-        )
+            return cls(**_fields(data))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
 
     def to_dict(self):
         mesh = (
@@ -159,18 +112,60 @@ class ExperimentConfig:
         }
 
 
+def _fields(data):
+    top = {"version", "mesh", "area", "perturbations", "flow", "emit", "checks", "output_dir"}
+    json_object(data, "config", top)
+    if data.get("version") != 1:
+        raise ConfigError("config requires 'version': 1")
+
+    mesh = json_object(data.get("mesh", {}), "mesh", {"generator", "level", "off"})
+    level = None
+    off_path = None
+    if "off" in mesh:
+        off_path = str(mesh["off"])
+        if "generator" in mesh or "level" in mesh:
+            raise ConfigError("mesh source must be either a generator or an OFF path")
+    else:
+        if mesh.get("generator", "genus2") != "genus2":
+            raise ConfigError("only the 'genus2' generator is available")
+        level = integer_at_least(mesh.get("level", 2), 0, "mesh level")
+
+    specs = []
+    for entry in data.get("perturbations", [{}]):
+        json_object(entry, "perturbations", {"amplitude", "seed"})
+        amplitude = _finite(entry.get("amplitude", 0.0), "perturbation amplitude")
+        seed = integer_at_least(entry.get("seed", 0), 0, "perturbation seed")
+        specs.append(PerturbationSpec(amplitude, seed))
+
+    flow = json_object(data.get("flow", {}), "flow", FlowConfig.__dataclass_fields__)
+    emit_keys = {"trace_csv", "spectrum_csv", "report_json", "plot_data"}
+    emit = json_object(data.get("emit", {}), "emit", emit_keys)
+    check_keys = {"c_disc", "tol_ratio", "overlap_min", "gap_tol"}
+    checks = json_object(data.get("checks", {}), "checks", check_keys)
+    return {
+        "generator_level": level,
+        "off_path": off_path,
+        "area_normalization": data.get("area", "minus_two_pi_chi"),
+        "perturbations": tuple(specs),
+        "flow": FlowConfig(**flow),
+        "output_dir": data.get("output_dir"),
+        "emit_trace_csv": bool(emit.get("trace_csv", True)),
+        "emit_spectrum_csv": bool(emit.get("spectrum_csv", True)),
+        "emit_report_json": bool(emit.get("report_json", True)),
+        "emit_plot_data": bool(emit.get("plot_data", False)),
+        "c_disc": _finite(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc"),
+        "tol_ratio": _finite(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio"),
+        "overlap_min": _finite(checks.get("overlap_min", DEFAULT_OVERLAP_MIN), "overlap_min"),
+        "gap_tol": _finite(checks.get("gap_tol", DEFAULT_GAP_TOL), "gap_tol"),
+    }
+
+
 def _finite(value, name):
     # json.load accepts NaN and Infinity, so parsed numbers need this check
     value = float(value)
     if not np.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     return value
-
-
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
 @dataclass
@@ -200,6 +195,9 @@ def build_base_metric(config):
         mesh, base_lengths = load_off(config.off_path)
     else:
         mesh, base_lengths = generate_genus2(config.generator_level)
+    # the eigensolver needs k < V/2, and the ratio check a nonzero eigenvalue
+    if not 2 <= config.flow.k < mesh.vertex_count / 2:
+        raise ConfigError(f"k = {config.flow.k} outside [2, V/2) with V = {mesh.vertex_count}")
     metric = ConformalMetric.flat(mesh, base_lengths)
     if config.area_normalization == "unit":
         target = 1.0
@@ -210,27 +208,7 @@ def build_base_metric(config):
     return normalize_area(metric, target)
 
 
-def pde_residual_median(trace, active_dev=None):
-    """Median pointwise curvature-law residual over active interior samples.
-
-    The residual needs no spectrum, so every stored sample counts, including
-    one whose eigensolve failed.
-    """
-    samples = trace.samples
-    if active_dev is None:
-        active_dev = 20.0 * samples[-1].curvature.max_deviation()
-    pooled = []
-    for j in range(1, len(samples) - 1):
-        if samples[j].curvature.max_deviation() < active_dev:
-            continue
-        pooled.append(np.abs(curvature_pde_residual(trace, j)))
-    if not pooled:
-        raise ValueError("no active interior samples")
-    return float(np.median(np.concatenate(pooled)))
-
-
-def _run_one_surface(config, spec, progress=None):
-    base = build_base_metric(config)
+def _run_one_surface(config, base, spec, progress=None):
     metric, window = perturb_metric(base, spec.amplitude, spec.seed)
     trace = run_flow(metric, config.flow, progress=progress)
     # the ratio and comparison checks read the first and last snapshots as
@@ -263,8 +241,26 @@ def _single_snapshot_branches(snap, config):
     )
 
 
-def _surface_checks(config, window, trace, branch_set):
-    inputs = _surface_inputs(config, window, trace)
+def _surface_block(config, window, trace, branch_set):
+    """One surface's BoundReport and report block (inputs, checks, residual stats, warnings)."""
+    mesh = trace.mesh
+    inputs = {
+        "alpha": float(window[0]),
+        "beta": float(window[1]),
+        "r": float(trace.r),
+        "area": float(trace.samples[0].curvature.total_area),
+        "chi": int(mesh.chi),
+        "genus": int(mesh.genus),
+        "vertices": int(mesh.vertex_count),
+        "mean_edge_length": bnd.mean_edge_length(trace),
+        "c_disc": config.c_disc,
+        "tol_ratio": config.tol_ratio,
+        "overlap_min": config.overlap_min,
+        "gap_tol": config.gap_tol,
+        "k": config.flow.k,
+        "seed": config.flow.seed,
+        "converged": bool(trace.converged),
+    }
     checks, bracket = bnd.surface_checks(trace.steps, vars(branch_set), inputs)
     inputs["ratio_bracket"] = list(bracket)
     report = bnd.BoundReport(checks, inputs)
@@ -291,137 +287,90 @@ def _surface_checks(config, window, trace, branch_set):
         stats["pde_residual_median"] = pde_residual_median(trace)
     except ValueError:
         pass
-    return report, stats
-
-
-def _surface_inputs(config, window, trace):
-    alpha, beta = window
-    mesh = trace.mesh
-    return {
-        "alpha": float(alpha),
-        "beta": float(beta),
-        "r": float(trace.r),
-        "area": float(trace.samples[0].curvature.total_area),
-        "chi": int(mesh.chi),
-        "genus": int(mesh.genus),
-        "vertices": int(mesh.vertex_count),
-        "mean_edge_length": bnd.mean_edge_length(trace),
-        "c_disc": config.c_disc,
-        "tol_ratio": config.tol_ratio,
-        "overlap_min": config.overlap_min,
-        "gap_tol": config.gap_tol,
-        "k": config.flow.k,
-        "seed": config.flow.seed,
-        "converged": bool(trace.converged),
+    block = {
+        "inputs": inputs,
+        "checks": [c.as_dict() for c in checks],
+        "residual_stats": stats,
+        "warnings": list(trace.warnings),
     }
+    return report, block
 
 
 def run_flow_experiment(config, progress=None):
     """Single-surface pipeline: flow, spectrum tracking, and all audits."""
     if len(config.perturbations) != 1:
         raise ConfigError("flow experiment takes exactly one perturbation spec")
+    base = build_base_metric(config)
     metric, window, trace, branch_set = _run_one_surface(
-        config, config.perturbations[0], progress
+        config, base, config.perturbations[0], progress
     )
-    report, stats = _surface_checks(config, window, trace, branch_set)
-
+    report, block = _surface_block(config, window, trace, branch_set)
     report_dict = {
         "version": 1,
         "kind": "flow",
-        "generated_at": _timestamp(),
-        "inputs": report.inputs,
-        "checks": [c.as_dict() for c in report.checks],
-        "residual_stats": stats,
-        "warnings": list(trace.warnings),
+        "generated_at": timestamp(),
+        **block,
         "all_satisfied": report.all_satisfied,
     }
-    artifacts = FlowArtifacts(config, metric, window, trace, branch_set, report, report_dict)
     if config.output_dir:
-        _emit_flow(config, artifacts, config.output_dir)
-    return artifacts
+        _emit(config, report_dict, [("", trace, branch_set)])
+    return FlowArtifacts(config, metric, window, trace, branch_set, report, report_dict)
 
 
 def run_pair_experiment(config, progress=None):
     """Two-surface pipeline behind the spectral comparison theorem.
 
-    Both perturbed surfaces share the base mesh and area; the measured
+    Both perturbations start from one base surface, so the two flows share
+    its mesh and geometry kernel, which are read-only. The measured
     curvature windows are merged (widest wins), both flows run
     concurrently, and the comparison checks use the distortion upper bound
     of the two limit metrics.
     """
     if len(config.perturbations) != 2:
         raise ConfigError("pair experiment needs exactly two perturbation specs")
+    base = build_base_metric(config)
     with ThreadPoolExecutor(max_workers=2) as pool:
         futures = [
-            pool.submit(_run_one_surface, config, spec, progress)
+            pool.submit(_run_one_surface, config, base, spec, progress)
             for spec in config.perturbations
         ]
         results = [f.result() for f in futures]
 
     (m1, w1, tr1, bs1), (m2, w2, tr2, bs2) = results
+    # perturbation renormalizes the area, so sharing the mesh does not settle these
     area1 = tr1.samples[0].curvature.total_area
     area2 = tr2.samples[0].curvature.total_area
     if abs(area1 - area2) > 1e-9 * area1:
         raise HypothesisError("surfaces do not share the same area")
-    if tr1.mesh.genus != tr2.mesh.genus:
-        raise HypothesisError("surfaces do not share the same genus")
     if abs(tr1.r - tr2.r) > 1e-9 * abs(tr1.r):
         raise HypothesisError("surfaces do not share the average curvature")
 
-    alpha = min(w1[0], w2[0])
-    beta = max(w1[1], w2[1])
-    window = (alpha, beta)
-
-    rep1, stats1 = _surface_checks(config, window, tr1, bs1)
-    rep2, stats2 = _surface_checks(config, window, tr2, bs2)
+    window = (min(w1[0], w2[0]), max(w1[1], w2[1]))
+    rep1, block1 = _surface_block(config, window, tr1, bs1)
+    rep2, block2 = _surface_block(config, window, tr2, bs2)
 
     q_hat, delta_hat = bnd.distortion_upper_bound(tr1.limit, tr2.limit)
     checks, factor = bnd.pair_checks(
         bs1.sorted_values, bs2.sorted_values, window, tr1.r, delta_hat, config.tol_ratio
     )
-    pair_report = bnd.BoundReport(checks)
-
+    # the merged window makes these inputs equal on both surfaces
+    shared = ("alpha", "beta", "r", "area", "chi", "genus", "vertices", "c_disc", "tol_ratio", "k")
+    inputs = {key: block1["inputs"][key] for key in shared}
+    inputs.update(delta_hat=float(delta_hat), q_hat=float(q_hat), bound_factor=float(factor))
+    combined = bnd.BoundReport(rep1.checks + rep2.checks + checks, inputs)
     report_dict = {
         "version": 1,
         "kind": "pair",
-        "generated_at": _timestamp(),
-        "inputs": {
-            "alpha": float(alpha),
-            "beta": float(beta),
-            "r": float(tr1.r),
-            "delta_hat": float(delta_hat),
-            "q_hat": float(q_hat),
-            "bound_factor": float(factor),
-            "area": float(area1),
-            "chi": int(tr1.mesh.chi),
-            "genus": int(tr1.mesh.genus),
-            "vertices": int(tr1.mesh.vertex_count),
-            "c_disc": config.c_disc,
-            "tol_ratio": config.tol_ratio,
-            "k": config.flow.k,
-        },
-        "surface_1": {
-            "inputs": rep1.inputs,
-            "checks": [c.as_dict() for c in rep1.checks],
-            "residual_stats": stats1,
-            "warnings": list(tr1.warnings),
-        },
-        "surface_2": {
-            "inputs": rep2.inputs,
-            "checks": [c.as_dict() for c in rep2.checks],
-            "residual_stats": stats2,
-            "warnings": list(tr2.warnings),
-        },
-        "pair_checks": [c.as_dict() for c in pair_report.checks],
+        "generated_at": timestamp(),
+        "inputs": inputs,
+        "surface_1": block1,
+        "surface_2": block2,
+        "pair_checks": [c.as_dict() for c in checks],
+        "all_satisfied": combined.all_satisfied,
     }
-    all_ok = rep1.all_satisfied and rep2.all_satisfied and pair_report.all_satisfied
-    report_dict["all_satisfied"] = all_ok
-
-    combined = bnd.BoundReport(
-        checks=rep1.checks + rep2.checks + pair_report.checks,
-        inputs=report_dict["inputs"],
-    )
-    artifacts = PairArtifacts(
+    if config.output_dir:
+        _emit(config, report_dict, [("surface_1", tr1, bs1), ("surface_2", tr2, bs2)])
+    return PairArtifacts(
         config,
         ((m1, window, tr1, bs1), (m2, window, tr2, bs2)),
         delta_hat,
@@ -429,53 +378,30 @@ def run_pair_experiment(config, progress=None):
         combined,
         report_dict,
     )
-    if config.output_dir:
-        _emit_pair(config, artifacts, config.output_dir)
-    return artifacts
 
 
-def _timestamp():
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _emit_flow(config, artifacts, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    write_report_json(os.path.join(out_dir, "config_resolved.json"), config.to_dict())
-    if config.emit_trace_csv:
-        write_trace_csv(os.path.join(out_dir, "trace.csv"), artifacts.trace)
-    if config.emit_spectrum_csv:
-        write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), artifacts.branch_set)
-    if config.emit_report_json:
-        write_report_json(os.path.join(out_dir, "report.json"), artifacts.report_dict)
-    if config.emit_plot_data:
-        _emit_plots(artifacts.trace, artifacts.branch_set, out_dir)
-
-
-def _emit_pair(config, artifacts, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    write_report_json(os.path.join(out_dir, "config_resolved.json"), config.to_dict())
-    for idx, (metric, window, trace, branch_set) in enumerate(artifacts.surfaces, start=1):
-        sub = os.path.join(out_dir, f"surface_{idx}")
-        os.makedirs(sub, exist_ok=True)
+def _emit(config, report_dict, surfaces):
+    """Write the artifacts; ``surfaces`` lists ``(subdirectory, trace, branch_set)``."""
+    out_dir = config.output_dir
+    for sub, trace, branch_set in surfaces:
+        path = os.path.join(out_dir, sub)
+        os.makedirs(path, exist_ok=True)
         if config.emit_trace_csv:
-            write_trace_csv(os.path.join(sub, "trace.csv"), trace)
+            write_trace_csv(os.path.join(path, "trace.csv"), trace)
         if config.emit_spectrum_csv:
-            write_spectrum_csv(os.path.join(sub, "spectrum.csv"), branch_set)
+            write_spectrum_csv(os.path.join(path, "spectrum.csv"), branch_set)
         if config.emit_plot_data:
-            _emit_plots(trace, branch_set, sub)
+            write_plot_series(
+                os.path.join(path, "plot_curvature_deviation.txt"),
+                trace.steps["t"],
+                trace.steps["max_dev"],
+            )
+            for b in range(branch_set.k):
+                write_plot_series(
+                    os.path.join(path, f"plot_eigenvalue_branch_{b}.txt"),
+                    branch_set.times,
+                    branch_set.values[b],
+                )
+    write_report_json(os.path.join(out_dir, "config_resolved.json"), config.to_dict())
     if config.emit_report_json:
-        write_report_json(os.path.join(out_dir, "report.json"), artifacts.report_dict)
-
-
-def _emit_plots(trace, branch_set, out_dir):
-    write_plot_series(
-        os.path.join(out_dir, "plot_curvature_deviation.txt"),
-        trace.steps["t"],
-        trace.steps["max_dev"],
-    )
-    for b in range(branch_set.k):
-        write_plot_series(
-            os.path.join(out_dir, f"plot_eigenvalue_branch_{b}.txt"),
-            branch_set.times,
-            branch_set.values[b],
-        )
+        write_report_json(os.path.join(out_dir, "report.json"), report_dict)

@@ -49,8 +49,16 @@ class FlowConfig:
         for name in ("dt_init", "dt_min", "area_tolerance", "convergence_tol", "t_max", "eig_tol"):
             if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
-        if self.spectrum_every < 1 or self.k < 1:
-            raise ValueError("spectrum_every and k must be positive integers")
+        integer_at_least(self.spectrum_every, 1, "spectrum_every")
+        integer_at_least(self.k, 1, "k")
+        integer_at_least(self.seed, 0, "seed")
+
+
+def integer_at_least(value, low, name):
+    # JSON true and false parse as bools, an int subclass, and must not pass as 1 and 0
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,20 +86,13 @@ class FlowTrace:
     config: FlowConfig
     steps: dict
     samples: list
-    measured_alpha: float
-    measured_beta: float
     converged: bool
     warnings: list = _field(default_factory=list)
 
     @property
     def limit(self):
         """Final metric state."""
-        last = self.samples[-1]
-        return ConformalMetric(self.mesh, self.base_lengths, last.u)
-
-    @property
-    def limit_snapshot(self):
-        return self.samples[-1]
+        return self.metric_at(-1)
 
     @property
     def r(self):
@@ -248,7 +249,6 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
     conv_threshold = config.convergence_tol * (
         abs(r) if r != 0.0 else 4.0 * np.pi / target_area
     )
-    alpha, beta = fld.R_min - 1e-6 * abs(fld.R_min), fld.R_max + 1e-6 * abs(fld.R_min)
 
     stats = {
         name: []
@@ -306,7 +306,7 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
                 if not sampled_last:
                     snapshot(accepted, t, u, fld)
                 exc.trace = _make_trace(
-                    mesh, metric, config, stats, samples, alpha, beta, False, trace_warnings
+                    mesh, metric, config, stats, samples, False, trace_warnings
                 )
                 raise exc
             since_cap = NORM_RECHECK_STEPS  # re-estimate stiffness after rejections
@@ -346,11 +346,11 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
     if not sampled_last:
         snapshot(accepted, t, u, fld)
     return _make_trace(
-        mesh, metric, config, stats, samples, alpha, beta, converged, trace_warnings
+        mesh, metric, config, stats, samples, converged, trace_warnings
     )
 
 
-def _make_trace(mesh, metric, config, stats, samples, alpha, beta, converged, warns):
+def _make_trace(mesh, metric, config, stats, samples, converged, warns):
     arrays = {name: np.asarray(vals) for name, vals in stats.items()}
     return FlowTrace(
         mesh=mesh,
@@ -358,8 +358,6 @@ def _make_trace(mesh, metric, config, stats, samples, alpha, beta, converged, wa
         config=config,
         steps=arrays,
         samples=samples,
-        measured_alpha=alpha,
-        measured_beta=beta,
         converged=converged,
         warnings=warns,
     )

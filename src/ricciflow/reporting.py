@@ -10,6 +10,7 @@ timestamp lives on its own line and is easy to exclude from comparisons.
 
 from __future__ import annotations
 
+import datetime
 import json
 
 import numpy as np
@@ -151,6 +152,21 @@ def _emit(obj, depth):
 def write_report_json(path, report_dict):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(canonical_json(report_dict))
+
+
+def timestamp():
+    """The current UTC time in ISO 8601, for a report's ``generated_at``."""
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def json_object(value, what, allowed=None):
+    """``value`` if it is a JSON object with keys in ``allowed`` (any if None)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {type(value).__name__}")
+    unknown = set(value) - set(value if allowed is None else allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {what}: {sorted(unknown)}")
+    return value
 
 
 def read_report_json(path):

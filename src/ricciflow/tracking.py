@@ -1,4 +1,4 @@
-"""Eigenvalue branches along a flow, and the spectral evolution formula.
+"""Eigenvalue branches along a flow, and the residual statistics of its evolution laws.
 
 Sorted eigenvalue labels are merely continuous in time; the quantities the
 theory differentiates live on *branches*, followed here by mass-weighted
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCrossingError
-from .flow import central_difference
+from .flow import central_difference, curvature_pde_residual
 
 DEFAULT_OVERLAP_MIN = 0.6
 DEFAULT_GAP_TOL = 1e-3  # relative to the largest computed eigenvalue
@@ -43,9 +43,6 @@ class BranchSet:
     @property
     def k(self):
         return self.values.shape[0]
-
-    def simple_at(self, branch, time_index):
-        return not self.flagged[branch, time_index]
 
 
 def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_GAP_TOL):
@@ -193,7 +190,7 @@ def branch_log_derivative(branch_set, branch, time_index, scheme="central"):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def evolution_formula_residual(trace, branch_set, branch, time_index, eps_floor=1e-12):
+def evolution_formula_residual(trace, branch_set, branch, time_index):
     """Compare d(lambda)/dt against the first-order spectral response.
 
     Returns ``(fd, rhs, relative_residual)`` where ``fd`` is the central
@@ -203,7 +200,8 @@ def evolution_formula_residual(trace, branch_set, branch, time_index, eps_floor=
 
     (the mean-zero form; the raw form subtracts ``r * lambda`` from the
     curvature integral). The residual is normalized by
-    ``|lambda| * max|R - r|``, the natural magnitude of both sides.
+    ``|lambda| * (max|R - r| + 1e-12)``, the natural magnitude of both sides;
+    the 1e-12 keeps the scale positive at constant curvature.
 
     Raises
     ------
@@ -229,25 +227,31 @@ def evolution_formula_residual(trace, branch_set, branch, time_index, eps_floor=
 
     stencil = slice(time_index - 1, time_index + 2)
     fd = float(central_difference(times[stencil], branch_set.values[branch, stencil]))
-    scale = abs(lam) * fld.max_deviation() + eps_floor * abs(lam)
+    scale = abs(lam) * fld.max_deviation() + 1e-12 * abs(lam)
     return fd, rhs, abs(fd - rhs) / scale
 
 
-def evolution_residual_median(trace, branch_set, branches, active_dev=None):
+def active_interior(samples):
+    """Interior sample indices where ``max|R - r|`` is at least 20x its last value.
+
+    The residual statistics are normalized by that deviation; later, both
+    sides of each law are numerically zero and their ratio is noise.
+    """
+    floor = 20.0 * samples[-1].curvature.max_deviation()
+    return [
+        j for j in range(1, len(samples) - 1) if samples[j].curvature.max_deviation() >= floor
+    ]
+
+
+def evolution_residual_median(trace, branch_set, branches):
     """Median relative evolution-formula residual over unflagged samples.
 
     ``branches`` lists branch ids (1 is the first nonzero mode). Samples
-    are restricted to the active phase, ``max|R - r|`` at least
-    ``active_dev`` (default: 20x the final deviation), so the residual
-    normalization stays meaningful.
+    are restricted to the active phase (see ``active_interior``), so the
+    residual normalization stays meaningful.
     """
-    samples = trace.snapshot_samples()
-    if active_dev is None:
-        active_dev = 20.0 * samples[-1].curvature.max_deviation()
     residuals = []
-    for j in range(1, len(samples) - 1):
-        if samples[j].curvature.max_deviation() < active_dev:
-            continue
+    for j in active_interior(trace.snapshot_samples()):
         for b in branches:
             try:
                 residuals.append(evolution_formula_residual(trace, branch_set, b, j)[2])
@@ -258,27 +262,23 @@ def evolution_residual_median(trace, branch_set, branches, active_dev=None):
     return float(np.median(residuals)), len(residuals)
 
 
-def dual_area_rate_residuals(trace, active_dev=None, activity_floor=0.1):
+def dual_area_rate_residuals(trace):
     """Relative errors of d(dual_i)/dt against (r - R_i) * dual_i.
 
     Evaluated by central differences across full samples, restricted to the
-    active phase and to vertices where ``|R_i - r|`` is at least
-    ``activity_floor`` times the current deviation (elsewhere both sides
-    are numerically zero and their ratio is noise).
+    active phase (see ``active_interior``) and to vertices where
+    ``|R_i - r|`` is at least 0.1 times the current deviation (elsewhere
+    both sides are numerically zero and their ratio is noise).
     """
     samples = trace.snapshot_samples()
-    if active_dev is None:
-        active_dev = 20.0 * samples[-1].curvature.max_deviation()
     errors = []
-    for j in range(1, len(samples) - 1):
+    for j in active_interior(samples):
         mid = samples[j].curvature
         dev = mid.max_deviation()
-        if dev < active_dev:
-            continue
         trio = samples[j - 1 : j + 2]
         fd = central_difference([s.t for s in trio], [s.curvature.dual_area for s in trio])
         rhs = (mid.r - mid.R) * mid.dual_area
-        mask = np.abs(mid.R - mid.r) >= activity_floor * dev
+        mask = np.abs(mid.R - mid.r) >= 0.1 * dev
         if mask.any():
             errors.append(np.abs(fd - rhs)[mask] / np.abs(rhs)[mask])
     if not errors:
@@ -286,23 +286,19 @@ def dual_area_rate_residuals(trace, active_dev=None, activity_floor=0.1):
     return np.concatenate(errors)
 
 
-def normalization_rate_residuals(trace, branch_set, branches, active_dev=None):
+def normalization_rate_residuals(trace, branch_set, branches):
     """Check the eigenfunction normalization derivative along branches.
 
     Differentiating mass-normalization in time gives
     ``2 * sum_i phi_i (d phi_i/dt) dual_i = sum_i phi_i^2 R_i dual_i - r``.
     Returns relative errors (scaled by ``max|R - r|``) over unflagged
-    active samples.
+    samples of the active phase (see ``active_interior``).
     """
     samples = trace.snapshot_samples()
-    if active_dev is None:
-        active_dev = 20.0 * samples[-1].curvature.max_deviation()
     errors = []
-    for j in range(1, len(samples) - 1):
+    for j in active_interior(samples):
         fld = samples[j].curvature
         dev = fld.max_deviation()
-        if dev < active_dev:
-            continue
         for b in branches:
             if branch_set.flagged[b, j - 1 : j + 2].any():
                 continue
@@ -315,3 +311,15 @@ def normalization_rate_residuals(trace, branch_set, branches, active_dev=None):
     if not errors:
         raise ValueError("no unflagged active samples to evaluate")
     return np.asarray(errors)
+
+
+def pde_residual_median(trace):
+    """Median pointwise curvature-law residual over active interior samples.
+
+    The residual needs no spectrum, so every stored sample counts, including
+    one whose eigensolve failed.
+    """
+    pooled = [np.abs(curvature_pde_residual(trace, j)) for j in active_interior(trace.samples)]
+    if not pooled:
+        raise ValueError("no active interior samples")
+    return float(np.median(np.concatenate(pooled)))

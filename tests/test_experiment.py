@@ -1,8 +1,12 @@
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,8 +147,8 @@ def test_pair_area_guard(monkeypatch):
     real = exp._run_one_surface
     calls = []
 
-    def rigged(config, spec, progress=None):
-        metric, window, trace, branches = real(config, spec, progress)
+    def rigged(config, base, spec, progress=None):
+        metric, window, trace, branches = real(config, base, spec, progress)
         if calls:  # shrink the second surface's recorded area
             from dataclasses import replace
 
@@ -278,6 +282,69 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
     assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "data, extra",
+    [
+        pytest.param([1], [], id="top_level_list"),
+        pytest.param(_config_dict(emit=5), [], id="emit_int"),
+        pytest.param(_config_dict(mesh={"level": "x"}), [], id="level_str"),
+        pytest.param(_config_dict(mesh={"level": -1}), [], id="level_negative"),
+        pytest.param(_config_dict(perturbations=[{"seed": "abc"}]), [], id="pert_seed_str"),
+        pytest.param(_config_dict(perturbations=[{"seed": -3}]), [], id="pert_seed_negative"),
+        pytest.param(_config_dict(flow={"k": "12"}), [], id="k_str"),
+        pytest.param(_config_dict(flow={"dt_init": "0.01"}), [], id="dt_init_str"),
+        pytest.param(_config_dict(flow={"seed": -1}), [], id="flow_seed_negative"),
+        pytest.param(_config_dict(flow={"k": 3.5}), [], id="k_float"),
+        pytest.param(_config_dict(flow={"k": 1}), [], id="k_one"),
+        pytest.param(_config_dict(flow={"k": True}), [], id="k_bool"),
+        pytest.param(_config_dict(flow={"k": 20}), [], id="k_above_half_V"),  # level 0: V = 32
+        pytest.param(_config_dict(flow={"spectrum_every": 2.5}), [], id="spectrum_every_float"),
+        pytest.param(_config_dict(), ["--seed", "-1"], id="cli_seed_negative"),
+    ],
+)
+def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):
+    # a value of the wrong type or range is a ConfigError (exit 2), not a traceback
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, data)
+    assert cli_main(["flow", "--config", str(cfg), "--quiet", *extra]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+
+
+def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):
+    # perfbench/tracer.py patches the experiment layer by module attribute;
+    # the span counts show that a pair builds its base surface once and still
+    # calls every per-surface stage through those attributes, once per surface
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)
+    spec.loader.exec_module(tracer_module)
+
+    data = _config_dict(
+        perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}],
+        output_dir=str(tmp_path / "pair"),
+    )
+    tracer = tracer_module.Tracer(0)
+    with tracer.session():
+        run_pair_experiment(ExperimentConfig.from_dict(data))
+    counts = Counter(s.name for s in tracer.spans)
+    assert counts["mesh.generate_genus2"] == 1
+    per_surface = [
+        "geometry.perturb_metric",
+        "flow.run_flow",
+        "tracking.track_branches",
+        "reporting.write_trace_csv",
+        "reporting.write_spectrum_csv",
+        "tracking.monotonicity_violations",
+        "tracking.evolution_residual_median",
+        "tracking.dual_area_rate_residuals",
+        "tracking.normalization_rate_residuals",
+        "tracking.pde_residual_median",
+    ]
+    assert {name: counts[name] for name in per_surface} == dict.fromkeys(per_surface, 2)
 
 
 def test_cli_audit_truncated_trace(tmp_path, capsys):
@@ -435,6 +502,32 @@ def test_artifacts_independent_of_thread_count(tmp_path):
             (out / "spectrum.csv").read_bytes(),
         ))
     assert outputs[0] == outputs[1]
+
+
+def test_flows_sharing_one_base_surface_match_sequential_runs():
+    # the pair's flow threads share one mesh and geometry kernel; with more
+    # threads than cores and a short switch interval, every flow must still
+    # equal its sequential run bit for bit
+    config = ExperimentConfig.from_dict(_config_dict())
+    base = build_base_metric(config)
+    amplitudes = (0.02, -0.02, 0.01, -0.01)
+
+    def flow_from(amplitude):
+        metric, _ = perturb_metric(base, amplitude, 5)
+        trace = flow_module.run_flow(metric, config.flow)
+        return trace.steps["t"], trace.samples[-1].u
+
+    expected = [flow_from(a) for a in amplitudes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(amplitudes)) as pool:
+            futures = [pool.submit(flow_from, a) for a in amplitudes]
+            found = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (t0, u0), (t1, u1) in zip(expected, found):
+        assert np.array_equal(t0, t1) and np.array_equal(u0, u1)
 
 
 def test_cli_timemap(capsys):

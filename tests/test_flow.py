@@ -269,8 +269,6 @@ def test_pde_residual_zero_on_flat_torus(torus16_metric):
         config=FlowConfig(),
         steps={},
         samples=samples,
-        measured_alpha=0.0,
-        measured_beta=0.0,
         converged=True,
     )
     res = curvature_pde_residual(trace, 1)
