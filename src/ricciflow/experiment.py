@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import ConfigError, EigensolverError, HypothesisError
-from .flow import FlowConfig, integer_at_least, monotonicity_violations, run_flow
+from .flow import FlowConfig, integer_at_least, monotonicity_violations, real_number, run_flow
 from .geometry import ConformalMetric, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
 from .reporting import (
@@ -122,7 +122,9 @@ def _fields(data):
     level = None
     off_path = None
     if "off" in mesh:
-        off_path = str(mesh["off"])
+        off_path = mesh["off"]
+        if not isinstance(off_path, str):
+            raise ConfigError(f"mesh 'off' must be a path string, got {off_path!r}")
         if "generator" in mesh or "level" in mesh:
             raise ConfigError("mesh source must be either a generator or an OFF path")
     else:
@@ -142,17 +144,20 @@ def _fields(data):
     emit = json_object(data.get("emit", {}), "emit", emit_keys)
     check_keys = {"c_disc", "tol_ratio", "overlap_min", "gap_tol"}
     checks = json_object(data.get("checks", {}), "checks", check_keys)
+    output_dir = data.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a path string or null, got {output_dir!r}")
     return {
         "generator_level": level,
         "off_path": off_path,
         "area_normalization": data.get("area", "minus_two_pi_chi"),
         "perturbations": tuple(specs),
         "flow": FlowConfig(**flow),
-        "output_dir": data.get("output_dir"),
-        "emit_trace_csv": bool(emit.get("trace_csv", True)),
-        "emit_spectrum_csv": bool(emit.get("spectrum_csv", True)),
-        "emit_report_json": bool(emit.get("report_json", True)),
-        "emit_plot_data": bool(emit.get("plot_data", False)),
+        "output_dir": output_dir,
+        "emit_trace_csv": _flag(emit, "trace_csv", True),
+        "emit_spectrum_csv": _flag(emit, "spectrum_csv", True),
+        "emit_report_json": _flag(emit, "report_json", True),
+        "emit_plot_data": _flag(emit, "plot_data", False),
         "c_disc": _finite(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc"),
         "tol_ratio": _finite(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio"),
         "overlap_min": _finite(checks.get("overlap_min", DEFAULT_OVERLAP_MIN), "overlap_min"),
@@ -160,9 +165,16 @@ def _fields(data):
     }
 
 
+def _flag(emit, key, default):
+    value = emit.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"emit '{key}' must be true or false, got {value!r}")
+    return value
+
+
 def _finite(value, name):
     # json.load accepts NaN and Infinity, so parsed numbers need this check
-    value = float(value)
+    value = float(real_number(value, name))
     if not np.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     return value

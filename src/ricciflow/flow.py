@@ -42,16 +42,26 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
+        positive = ("dt_init", "dt_min", "area_tolerance", "convergence_tol", "t_max", "eig_tol")
+        for name in positive + ("safety",):
+            real_number(getattr(self, name), name)
         if self.dt_min > self.dt_init:
             raise ValueError("dt_min must not exceed dt_init")
         if not 0.0 < self.safety < 1.0:
             raise ValueError("safety must lie in (0, 1)")
-        for name in ("dt_init", "dt_min", "area_tolerance", "convergence_tol", "t_max", "eig_tol"):
+        for name in positive:
             if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
         integer_at_least(self.spectrum_every, 1, "spectrum_every")
         integer_at_least(self.k, 1, "k")
         integer_at_least(self.seed, 0, "seed")
+
+
+def real_number(value, name):
+    # float() would read JSON true as 1.0 and a numeric string as its number
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def integer_at_least(value, low, name):

@@ -224,6 +224,8 @@ def load_off(source):
         n_vert, n_face = int(counts[0]), int(counts[1])
     except ValueError as exc:
         raise MeshFormatError(f"bad count line: {lines[1]!r}") from exc
+    if n_vert < 0 or n_face < 0:
+        raise MeshFormatError(f"negative count on line {lines[1]!r}")
     if len(lines) < 2 + n_vert + n_face:
         raise MeshFormatError("truncated OFF file")
 
@@ -236,6 +238,8 @@ def load_off(source):
             coords[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
         except ValueError as exc:
             raise MeshFormatError(f"bad vertex line {i}: {lines[2 + i]!r}") from exc
+    if not np.all(np.isfinite(coords)):
+        raise MeshFormatError("vertex coordinates must be finite")
 
     triangles = np.empty((n_face, 3), dtype=np.int64)
     for i in range(n_face):
@@ -250,14 +254,15 @@ def load_off(source):
             raise MeshFormatError(f"face line {i} is truncated")
         try:
             triangles[i] = [int(parts[1]), int(parts[2]), int(parts[3])]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise MeshFormatError(f"bad face line {i}") from exc
 
     mesh = TriangleMesh(n_vert, triangles)
-    diffs = coords[mesh.edges[:, 0]] - coords[mesh.edges[:, 1]]
-    lengths = np.sqrt(np.sum(diffs * diffs, axis=1))
-    if np.any(lengths <= 0.0):
-        raise MeshFormatError("coincident vertex positions give a zero-length edge")
+    with np.errstate(over="ignore"):
+        diffs = coords[mesh.edges[:, 0]] - coords[mesh.edges[:, 1]]
+        lengths = np.sqrt(np.sum(diffs * diffs, axis=1))
+    if not np.all((lengths > 0.0) & (lengths < np.inf)):
+        raise MeshFormatError("an edge length is zero (coincident vertices) or overflows")
     return mesh, lengths
 
 

@@ -18,6 +18,19 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from .errors import EigensolverError
 from .geometry import squared_lengths
 
+# SuperLU's relaxed supernodes pad each small subtree of the elimination tree
+# into one dense block. On the barycentric genus-2 meshes (vertex degrees up
+# to 64 at level 3) the padded zeros cost more than the dense kernels save:
+# with relax=1 (no relaxation) the level-3 factorization of S - sigma I falls
+# from 85 to 18 ms and a solve from 1.25 to 0.54 ms; at level 4 (V = 44,062)
+# 371 -> 95 ms and 5.0 -> 2.0 ms. Level 2 takes about 3 ms either way.
+SUPERNODE_RELAX = 1
+# Panel width of the column blocks. Interleaved medians of 15 factorizations
+# (7 at level 4) with relax=1, against SuperLU's default (20) and against 10:
+# level 2 2.24 / 2.97 / 2.46 ms, level 3 13.6 / 17.4 / 14.9 ms, level 4
+# 71 / 92 / 75 ms. Solve times do not depend on it.
+PANEL_SIZE = 4
+
 
 @dataclass(frozen=True)
 class SpectrumSnapshot:
@@ -63,10 +76,14 @@ def smallest_eigenpairs(stiffness, mass, k, tol, seed, t=0.0):
     ``S = M^{-1/2} L M^{-1/2}`` (same eigenvalues; eigenvectors map back by
     ``M^{-1/2}``), with one SuperLU factorization of ``S - sigma I`` in
     symmetric mode and a fixed start vector, so results are deterministic
-    for a fixed seed. Vectors are cleaned up afterwards: the kernel vector
-    is replaced by the exact constant, the others are projected
-    mass-orthogonal to it and re-orthonormalized, and signs are fixed by
-    making the largest-magnitude entry positive.
+    for a fixed seed. The factorization keeps SuperLU's supernodes
+    unrelaxed (``SUPERNODE_RELAX``): on meshes with high-degree vertices the
+    zeros that relaxed supernodes pad in cost more than their dense kernels
+    save, about 5x in factorization and 2x per solve at level 3. Vectors
+    are cleaned up afterwards: the kernel vector is replaced by the exact
+    constant, the others are projected mass-orthogonal to it and
+    re-orthonormalized, and signs are fixed by making the largest-magnitude
+    entry positive.
 
     Raises
     ------
@@ -87,6 +104,8 @@ def smallest_eigenpairs(stiffness, mass, k, tol, seed, t=0.0):
         (sym - sigma * sparse.identity(n, format="csr")).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
+        relax=SUPERNODE_RELAX,
+        panel_size=PANEL_SIZE,
         options={"SymmetricMode": True},
     )
     shift_inverse = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)

@@ -302,6 +302,14 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
         pytest.param(_config_dict(flow={"k": 20}), [], id="k_above_half_V"),  # level 0: V = 32
         pytest.param(_config_dict(flow={"spectrum_every": 2.5}), [], id="spectrum_every_float"),
         pytest.param(_config_dict(), ["--seed", "-1"], id="cli_seed_negative"),
+        pytest.param(_config_dict(output_dir=5), [], id="output_dir_int"),
+        pytest.param(_config_dict(emit={"plot_data": "no"}), [], id="emit_str"),
+        pytest.param(_config_dict(checks={"c_disc": True}), [], id="c_disc_bool"),
+        pytest.param(_config_dict(checks={"c_disc": "10"}), [], id="c_disc_str"),
+        pytest.param(_config_dict(perturbations=[{"amplitude": True}]), [], id="amplitude_bool"),
+        pytest.param(_config_dict(flow={"dt_init": True}), [], id="dt_init_bool"),
+        pytest.param(_config_dict(flow={"t_max": True}), [], id="t_max_bool"),
+        pytest.param(_config_dict(mesh={"off": 5}), [], id="off_int"),
     ],
 )
 def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):

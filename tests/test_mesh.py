@@ -4,11 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricciflow import (
     BoundaryEdgeError,
     ConformalMetric,
     DisconnectedError,
+    MeshError,
     MeshFormatError,
     MeshInvariantError,
     NonManifoldError,
@@ -75,11 +78,46 @@ def test_unreferenced_vertex_rejected():
         lambda t: t.replace("3 0 2 1", "4 0 2 1"),
         lambda t: "\n".join(t.splitlines()[:-2]) + "\n",
         lambda t: t.replace("1 0 0", "x 0 0"),
+        lambda t: "OFF\n-1 0 0\n",
+        lambda t: t.replace("3 0 2 1", "3 0 2 99999999999999999999999"),
+        lambda t: t.replace("1 0 0", "nan 0 0"),
+        lambda t: t.replace("1 0 0", "1e308 0 0").replace("0 1 0", "-1e308 1 0"),
     ],
 )
 def test_parse_failures(mutation):
     with pytest.raises(MeshFormatError):
         load_off(io.StringIO(mutation(TETRA_OFF)))
+
+
+_OFF_TOKENS = ["OFF", "0", "1", "3", "4", "-1", "1.5", "nan", "inf", "1e308", "x", "#",
+               "99999999999999999999999", "\n", " "]
+
+
+@st.composite
+def _mutated_tetra_off(draw):
+    tokens = TETRA_OFF.replace("\n", " \n ").split(" ")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "delete":
+            del tokens[i]
+        elif action == "replace":
+            tokens[i] = draw(st.sampled_from(_OFF_TOKENS))
+        else:
+            tokens.insert(i, draw(st.sampled_from(_OFF_TOKENS)))
+    return " ".join(tokens).encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _mutated_tetra_off()))
+def test_load_off_fuzz(data):
+    # any input either loads or raises a MeshError; nothing else escapes
+    try:
+        mesh, lengths = load_off(data)
+    except MeshError:
+        return
+    assert lengths.shape == (mesh.edge_count,)
+    assert np.all(np.isfinite(lengths)) and np.all(lengths > 0.0)
 
 
 @pytest.mark.parametrize(

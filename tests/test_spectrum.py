@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from ricciflow import (
+    ConformalMetric,
     assemble_operators,
     dense_eigenpairs,
+    generate_genus2,
+    normalize_area,
     perturb_metric,
     rayleigh_quotient,
     scale_metric,
@@ -101,6 +104,68 @@ def test_matches_mass_generalized_eigsh(octagon1):
     ref = np.sort(ref)
     assert abs(snap.eigenvalues[0]) < 1e-9 * ref[1]
     assert np.allclose(snap.eigenvalues[1:], ref[1:], rtol=1e-8, atol=0)
+
+
+def _default_superlu_eigenpairs(stiffness, mass, k, seed):
+    """The eigensolve with SuperLU's default supernode relaxation and panel size.
+
+    Same standard form, shift, start vector, eigsh call and cleanup as
+    ``smallest_eigenpairs``; only the factorization's tuning differs.
+    """
+    n = stiffness.shape[0]
+    total_area = mass.sum()
+    sigma = -4.0 * np.pi**2 / total_area
+    inv_sqrt = 1.0 / np.sqrt(mass)
+    sym = sparse.diags(inv_sqrt) @ stiffness @ sparse.diags(inv_sqrt)
+    lu = splu(
+        (sym - sigma * sparse.identity(n, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    vals, vecs = eigsh(
+        sym,
+        k=k,
+        sigma=sigma,
+        OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=np.float64),
+        v0=np.random.default_rng(seed).standard_normal(n),
+        tol=0,
+        maxiter=2000,
+    )
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], inv_sqrt[:, None] * vecs[:, order]
+    vecs[:, 0] = 1.0 / np.sqrt(total_area)
+    vals[0] = vecs[:, 0] @ (stiffness @ vecs[:, 0]) / (mass * vecs[:, 0] @ vecs[:, 0])
+    for a in range(1, k):
+        v = vecs[:, a]
+        for b in range(a):
+            v -= (mass * vecs[:, b] @ v) * vecs[:, b]
+        vecs[:, a] = v / np.sqrt(mass * v @ v)
+    for a in range(k):
+        if vecs[np.argmax(np.abs(vecs[:, a])), a] < 0.0:
+            vecs[:, a] = -vecs[:, a]
+    return vals, vecs
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_matches_default_superlu_factorization(level):
+    # the perturbed surfaces of the level2/level3 fixtures have simple
+    # eigenvalues, so eigenvectors compare column by column
+    mesh, lengths = generate_genus2(level)
+    base = normalize_area(ConformalMetric.flat(mesh, lengths), -2.0 * np.pi * mesh.chi)
+    metric, _ = perturb_metric(base, 0.02, 11)
+    stiffness, mass = assemble_operators(metric)
+    tol = 1e-8
+    snap = smallest_eigenpairs(stiffness, mass, 12, tol=tol, seed=3)
+    ref_vals, ref_vecs = _default_superlu_eigenpairs(stiffness, mass, 12, seed=3)
+    assert abs(snap.eigenvalues[0]) < 1e-9 * ref_vals[1]
+    assert np.allclose(snap.eigenvalues[1:], ref_vals[1:], rtol=1e-12, atol=0)
+    assert np.abs(snap.eigenvectors - ref_vecs).max() <= 1e-9
+    mass_vecs = mass[:, None] * ref_vecs
+    ref_residuals = np.linalg.norm(stiffness @ ref_vecs - mass_vecs * ref_vals, axis=0)
+    ref_residuals /= np.linalg.norm(mass_vecs, axis=0)
+    assert (snap.residuals <= tol).all()
+    assert (ref_residuals <= tol).all()
 
 
 def test_scale_covariance(octagon1):
