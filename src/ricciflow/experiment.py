@@ -245,7 +245,6 @@ def _single_snapshot_branches(snap, config):
         times=np.array([snap.t]),
         values=values,
         vectors=[snap.eigenvectors],
-        masses=[snap.mass],
         flagged=np.zeros((snap.k, 1), dtype=bool),
         sorted_values=np.sort(values, axis=0),
         overlap_min=config.overlap_min,

@@ -4,10 +4,10 @@ The state is one log-conformal factor per vertex, advanced by classical
 four-stage Runge-Kutta on du/dt = (r - R)/2 and renormalized to the initial
 area after every step (the renormalization is itself a uniform conformal
 scaling, so it stays inside the flow's conformal class). Step control is
-adaptive: an accuracy-based candidate ``safety / max|R - r|`` capped by a 2x
-growth factor, ``dt_init``, and a linear-stability estimate of the stiffest
-curvature mode; steps that break a triangle inequality are rejected and
-retried at half size.
+adaptive: one ``min`` of an accuracy-based candidate ``safety / max|R - r|``,
+a 2x growth factor, ``dt_init``, a linear-stability estimate of the stiffest
+curvature mode and the time left to ``t_max``; steps that break a triangle
+inequality are rejected and retried at half size.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class FlowConfig:
     dt_init: float = 0.01
     dt_min: float = 1e-9
     safety: float = 0.2
-    area_tolerance: float = 1e-9
     convergence_tol: float = 1e-4
     t_max: float = 50.0
     spectrum_every: int = 400
@@ -42,7 +41,7 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
-        positive = ("dt_init", "dt_min", "area_tolerance", "convergence_tol", "t_max", "eig_tol")
+        positive = ("dt_init", "dt_min", "convergence_tol", "t_max", "eig_tol")
         for name in positive + ("safety",):
             real_number(getattr(self, name), name)
         if self.dt_min > self.dt_init:
@@ -242,7 +241,7 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
     mesh = metric.mesh
     ws = _Workspace(mesh, metric.base_lengths)
     vel, fld = ws.velocity(metric.u)
-    trace_warnings = []
+    trace = FlowTrace(mesh, metric.base_lengths, config, steps={}, samples=[], converged=False)
 
     if mesh.genus < 2 or fld.R_max >= 0.0:
         message = (
@@ -252,44 +251,38 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
         if not allow_indefinite:
             raise ValueError(message + "; pass allow_indefinite=True to force")
         _warnings.warn(message, stacklevel=2)
-        trace_warnings.append(message)
+        trace.warnings.append(message)
 
     target_area = fld.total_area
-    r = fld.r
     conv_threshold = config.convergence_tol * (
-        abs(r) if r != 0.0 else 4.0 * np.pi / target_area
+        abs(fld.r) if fld.r != 0.0 else 4.0 * np.pi / target_area
     )
 
-    stats = {
-        name: []
-        for name in ("t", "dt", "area", "r", "R_min", "R_max", "max_dev", "argmin", "argmax")
-    }
-
     def record(t, dt, f):
-        stats["t"].append(t)
-        stats["dt"].append(dt)
-        stats["area"].append(f.total_area)
-        stats["r"].append(f.r)
-        stats["R_min"].append(f.R_min)
-        stats["R_max"].append(f.R_max)
-        stats["max_dev"].append(f.max_deviation())
-        stats["argmin"].append(int(np.argmin(f.R)))
-        stats["argmax"].append(int(np.argmax(f.R)))
-
-    samples = []
+        row = dict(
+            t=t, dt=dt, area=f.total_area, r=f.r, R_min=f.R_min, R_max=f.R_max,
+            max_dev=f.max_deviation(), argmin=int(np.argmin(f.R)), argmax=int(np.argmax(f.R)),
+        )
+        for name, value in row.items():
+            trace.steps.setdefault(name, []).append(value)
 
     def snapshot(step_idx, t, u, f):
         spec = None
         try:
-            stiffness, mass = assemble_operators(
-                ConformalMetric(mesh, metric.base_lengths, u)
-            )
+            stiffness, mass = assemble_operators(metric.with_u(u))
             spec = smallest_eigenpairs(
                 stiffness, mass, config.k, tol=config.eig_tol, seed=config.seed, t=t
             )
         except EigensolverError as exc:
-            trace_warnings.append(f"eigensolver failed at t={t:.6g}: {exc}")
-        samples.append(FlowSample(step_idx, t, u.copy(), f, spec))
+            trace.warnings.append(f"eigensolver failed at t={t:.6g}: {exc}")
+        trace.samples.append(FlowSample(step_idx, t, u.copy(), f, spec))
+
+    def finish():
+        # the last accepted step is always sampled; the steps become arrays
+        if trace.samples[-1].step != accepted:
+            snapshot(accepted, t, u, fld)
+        trace.steps = {name: np.asarray(vals) for name, vals in trace.steps.items()}
+        return trace
 
     u = metric.u.copy()
     t = 0.0
@@ -297,27 +290,28 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
     snapshot(0, t, u, fld)
 
     converged = fld.max_deviation() <= conv_threshold
-    cap = _stability_cap(ConformalMetric(mesh, metric.base_lengths, u), config.seed)
-    dt = min(config.dt_init, config.safety / max(fld.max_deviation(), 1e-300), cap)
+    cap = _stability_cap(metric.with_u(u), config.seed)
+    dt = config.dt_init  # the first step has no growth term
     accepted = 0
     since_cap = 0
-    sampled_last = True
 
     while not converged and t < config.t_max:
-        dt = min(dt, config.t_max - t)
+        # the one step-size rule; dt has doubled after an accepted step and
+        # halved after a rejection, which leaves it below every other term
+        dt = min(
+            dt,
+            config.dt_init,
+            config.safety / max(fld.max_deviation(), 1e-300),
+            cap,
+            config.t_max - t,
+        )
         try:
             u_next, fld_next, vel_next = _rk4(ws, u, vel, dt, target_area)
         except TriangleInequalityError:
             dt *= 0.5
             if dt < config.dt_min:
-                exc = FlowAbortError(
-                    f"step size underflow at t={t:.6g}", t=t, dt=dt
-                )
-                if not sampled_last:
-                    snapshot(accepted, t, u, fld)
-                exc.trace = _make_trace(
-                    mesh, metric, config, stats, samples, False, trace_warnings
-                )
+                exc = FlowAbortError(f"step size underflow at t={t:.6g}", t=t, dt=dt)
+                exc.trace = finish()
                 raise exc
             since_cap = NORM_RECHECK_STEPS  # re-estimate stiffness after rejections
             continue
@@ -327,50 +321,20 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
         accepted += 1
         since_cap += 1
         record(t, dt, fld)
-        sampled_last = False
-
-        if abs(fld.total_area - target_area) > config.area_tolerance * target_area:
-            trace_warnings.append(f"area drift at t={t:.6g}")
 
         if accepted % config.spectrum_every == 0:
             snapshot(accepted, t, u, fld)
-            sampled_last = True
         if progress is not None and accepted % 2000 == 0:
             progress(t, fld.max_deviation(), dt)
 
         converged = fld.max_deviation() <= conv_threshold
-        if converged:
-            break
-        if since_cap >= NORM_RECHECK_STEPS:
-            cap = _stability_cap(
-                ConformalMetric(mesh, metric.base_lengths, u), config.seed
-            )
+        if not converged and since_cap >= NORM_RECHECK_STEPS:
+            cap = _stability_cap(metric.with_u(u), config.seed)
             since_cap = 0
-        dt = min(
-            config.dt_init,
-            config.safety / max(fld.max_deviation(), 1e-300),
-            2.0 * dt,
-            cap,
-        )
+        dt *= 2.0
 
-    if not sampled_last:
-        snapshot(accepted, t, u, fld)
-    return _make_trace(
-        mesh, metric, config, stats, samples, converged, trace_warnings
-    )
-
-
-def _make_trace(mesh, metric, config, stats, samples, converged, warns):
-    arrays = {name: np.asarray(vals) for name, vals in stats.items()}
-    return FlowTrace(
-        mesh=mesh,
-        base_lengths=metric.base_lengths,
-        config=config,
-        steps=arrays,
-        samples=samples,
-        converged=converged,
-        warnings=warns,
-    )
+    trace.converged = converged
+    return finish()
 
 
 def rf_nrf_time_map(area0, chi, tau):

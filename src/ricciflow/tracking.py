@@ -34,7 +34,6 @@ class BranchSet:
     times: np.ndarray
     values: np.ndarray
     vectors: list
-    masses: list
     flagged: np.ndarray
     sorted_values: np.ndarray
     overlap_min: float
@@ -68,11 +67,9 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
     values = np.empty((k, n_times))
     flagged = np.zeros((k, n_times), dtype=bool)
     vectors = []
-    masses = []
 
     values[:, 0] = snapshots[0].eigenvalues
     vectors.append(snapshots[0].eigenvectors.copy())
-    masses.append(snapshots[0].mass)
 
     for j in range(1, n_times):
         prev_vecs = vectors[j - 1]
@@ -91,7 +88,6 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
         vecs *= sign[None, :]
         values[:, j] = vals
         vectors.append(vecs)
-        masses.append(snap.mass)
         for b in crossing:
             flagged[b, j] = True
             flagged[b, j - 1] = True
@@ -112,7 +108,6 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
         times=times,
         values=values,
         vectors=vectors,
-        masses=masses,
         flagged=flagged,
         sorted_values=np.sort(values, axis=0),
         overlap_min=overlap_min,

@@ -17,6 +17,7 @@ from ricciflow import (
     generate_genus2,
     main_theorem_factor,
     measure_curvature,
+    metric_area,
     normalize_area,
     perturb_metric,
     rf_nrf_time_map,
@@ -149,6 +150,9 @@ def test_criterion_04_hamilton_convergence(level3):
     assert abs(final.R_max - expected) <= 1e-3 * abs(expected)
     area = trace.steps["area"]
     assert np.abs(area / area[0] - 1.0).max() <= 1e-9
+    # the area column is the renormalization target; measure the real area
+    measured = np.array([metric_area(trace.metric_at(j)) for j in range(len(trace.samples))])
+    assert np.abs(measured / area[0] - 1.0).max() <= 1e-9
     _passed(4, "Hamilton convergence")
 
 

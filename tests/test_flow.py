@@ -10,6 +10,7 @@ from ricciflow import (
     curvature_pde_residual,
     dense_eigenpairs,
     measure_curvature,
+    metric_area,
     monotonicity_violations,
     nrf_velocity,
     perturb_metric,
@@ -131,6 +132,9 @@ def test_run_flow_converges_level0(octagon0):
     assert abs(final.R_max - r) < 1e-3 * abs(r)
     area = trace.steps["area"]
     assert np.abs(area / area[0] - 1.0).max() <= 1e-9
+    # the area column is the renormalization target; measure the real area
+    measured = np.array([metric_area(trace.metric_at(j)) for j in range(len(trace.samples))])
+    assert np.abs(measured / area[0] - 1.0).max() <= 1e-9
     assert np.abs(trace.steps["r"] / r - 1.0).max() <= 1e-9
     assert (np.diff(trace.steps["t"]) > 0).all()
     assert monotonicity_violations(trace) == []
@@ -169,6 +173,24 @@ def test_run_flow_abort_on_dt_underflow(octagon0, monkeypatch):
         run_flow(metric, config)
     assert info.value.trace is not None
     assert info.value.trace.converged is False
+
+
+def test_run_flow_step_size_rule(octagon0, monkeypatch):
+    # a constant stability cap that binds on most steps of a level-0 run with
+    # no rejections: the accuracy candidate binds before it, t_max after it
+    import ricciflow.flow as flow_mod
+
+    cap = 0.08
+    monkeypatch.setattr(flow_mod, "_stability_cap", lambda metric, seed: cap)
+    metric, _ = perturb_metric(octagon0, 0.02, 13)
+    config = FlowConfig(dt_init=1.0, safety=0.01, t_max=1.0, spectrum_every=100, k=6, seed=1)
+    steps = run_flow(metric, config).steps
+    dt, t, max_dev = steps["dt"], steps["t"], steps["max_dev"]
+    for i in range(1, len(dt)):
+        growth = 2.0 * dt[i - 1] if i > 1 else np.inf  # the first step has no growth term
+        accuracy = config.safety / max(max_dev[i - 1], 1e-300)
+        assert dt[i] == min(growth, config.dt_init, accuracy, cap, config.t_max - t[i - 1]), i
+    assert 0 < np.count_nonzero(dt == cap) < len(dt) - 1
 
 
 def test_run_flow_rejects_non_finite_state(octagon0):

@@ -83,7 +83,6 @@ def test_log_derivative_constant_branch():
         times=times,
         values=values,
         vectors=[None] * 11,
-        masses=[None] * 11,
         flagged=np.zeros((3, 11), dtype=bool),
         sorted_values=np.sort(values, axis=0),
         overlap_min=0.6,
@@ -101,7 +100,6 @@ def test_log_derivative_exponential_branch():
         times=times,
         values=values,
         vectors=[None] * 26,
-        masses=[None] * 26,
         flagged=np.zeros((2, 26), dtype=bool),
         sorted_values=np.sort(values, axis=0),
         overlap_min=0.6,
@@ -122,7 +120,6 @@ def test_log_derivative_crossing_guard():
         times=times,
         values=values,
         vectors=[None] * 5,
-        masses=[None] * 5,
         flagged=flagged,
         sorted_values=values,
         overlap_min=0.6,
@@ -180,7 +177,6 @@ def test_evolution_formula_crossing_error(run1):
         times=branches.times,
         values=branches.values,
         vectors=branches.vectors,
-        masses=branches.masses,
         flagged=flagged,
         sorted_values=branches.sorted_values,
         overlap_min=branches.overlap_min,
