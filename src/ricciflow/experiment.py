@@ -32,7 +32,6 @@ from .reporting import (
 from .tracking import (
     DEFAULT_GAP_TOL,
     DEFAULT_OVERLAP_MIN,
-    BranchSet,
     dual_area_rate_residuals,
     evolution_residual_median,
     normalization_rate_residuals,
@@ -65,8 +64,6 @@ class ExperimentConfig:
     emit_plot_data: bool
     c_disc: float
     tol_ratio: float
-    overlap_min: float
-    gap_tol: float
 
     def __post_init__(self):
         if (self.generator_level is None) == (self.off_path is None):
@@ -105,8 +102,6 @@ class ExperimentConfig:
             "checks": {
                 "c_disc": self.c_disc,
                 "tol_ratio": self.tol_ratio,
-                "overlap_min": self.overlap_min,
-                "gap_tol": self.gap_tol,
             },
             "output_dir": self.output_dir,
         }
@@ -142,8 +137,7 @@ def _fields(data):
     flow = json_object(data.get("flow", {}), "flow", FlowConfig.__dataclass_fields__)
     emit_keys = {"trace_csv", "spectrum_csv", "report_json", "plot_data"}
     emit = json_object(data.get("emit", {}), "emit", emit_keys)
-    check_keys = {"c_disc", "tol_ratio", "overlap_min", "gap_tol"}
-    checks = json_object(data.get("checks", {}), "checks", check_keys)
+    checks = json_object(data.get("checks", {}), "checks", {"c_disc", "tol_ratio"})
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a path string or null, got {output_dir!r}")
@@ -160,8 +154,6 @@ def _fields(data):
         "emit_plot_data": _flag(emit, "plot_data", False),
         "c_disc": _finite(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc"),
         "tol_ratio": _finite(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio"),
-        "overlap_min": _finite(checks.get("overlap_min", DEFAULT_OVERLAP_MIN), "overlap_min"),
-        "gap_tol": _finite(checks.get("gap_tol", DEFAULT_GAP_TOL), "gap_tol"),
     }
 
 
@@ -228,28 +220,7 @@ def _run_one_surface(config, base, spec, progress=None):
     for sample in (trace.samples[0], trace.samples[-1]):
         if sample.spectrum is None:
             raise EigensolverError(f"no spectrum at t={sample.t:.6g}, which the checks need")
-    snapshots = trace.snapshots()
-    if len(snapshots) >= 2:
-        branch_set = track_branches(
-            snapshots, overlap_min=config.overlap_min, gap_tol=config.gap_tol
-        )
-    else:
-        branch_set = _single_snapshot_branches(snapshots[0], config)
-    return metric, window, trace, branch_set
-
-
-def _single_snapshot_branches(snap, config):
-    # converged at the start: one snapshot, nothing to connect
-    values = snap.eigenvalues[:, None].copy()
-    return BranchSet(
-        times=np.array([snap.t]),
-        values=values,
-        vectors=[snap.eigenvectors],
-        flagged=np.zeros((snap.k, 1), dtype=bool),
-        sorted_values=np.sort(values, axis=0),
-        overlap_min=config.overlap_min,
-        gap_tol=config.gap_tol,
-    )
+    return metric, window, trace, track_branches(trace.snapshots())
 
 
 def _surface_block(config, window, trace, branch_set):
@@ -266,8 +237,8 @@ def _surface_block(config, window, trace, branch_set):
         "mean_edge_length": bnd.mean_edge_length(trace),
         "c_disc": config.c_disc,
         "tol_ratio": config.tol_ratio,
-        "overlap_min": config.overlap_min,
-        "gap_tol": config.gap_tol,
+        "overlap_min": DEFAULT_OVERLAP_MIN,
+        "gap_tol": DEFAULT_GAP_TOL,
         "k": config.flow.k,
         "seed": config.flow.seed,
         "converged": bool(trace.converged),

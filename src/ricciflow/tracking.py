@@ -36,8 +36,6 @@ class BranchSet:
     vectors: list
     flagged: np.ndarray
     sorted_values: np.ndarray
-    overlap_min: float
-    gap_tol: float
 
     @property
     def k(self):
@@ -53,10 +51,11 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
     overlap drops below ``overlap_min``, the remaining pairs fall back to
     ascending-value matching and are flagged as crossings. Branches are
     additionally flagged wherever the gap to a sorted neighbor is below
-    ``gap_tol`` (relative to the largest eigenvalue at that time).
+    ``gap_tol`` (relative to the largest eigenvalue at that time). A single
+    snapshot gives one-sample branches in eigenvalue order.
     """
-    if len(snapshots) < 2:
-        raise ValueError("need at least two snapshots to track branches")
+    if not snapshots:
+        raise ValueError("need at least one snapshot to track branches")
     k = snapshots[0].k
     n = snapshots[0].eigenvectors.shape[0]
     for snap in snapshots:
@@ -75,19 +74,15 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
         prev_vecs = vectors[j - 1]
         prev_vals = values[:, j - 1]
         snap = snapshots[j]
-        overlap = np.abs(prev_vecs.T @ (snapshots[j - 1].mass[:, None] * snap.eigenvectors))
+        inner = prev_vecs.T @ (snapshots[j - 1].mass[:, None] * snap.eigenvectors)
         assignment, crossing = _greedy_assign(
-            overlap, prev_vals, snap.eigenvalues, overlap_min
+            np.abs(inner), prev_vals, snap.eigenvalues, overlap_min
         )
         cols = np.array([assignment[b] for b in range(k)])
-        vals = snap.eigenvalues[cols]
-        vecs = snap.eigenvectors[:, cols].copy()
         # Keep signs continuous along each branch.
-        sign = np.sign(np.sum(prev_vecs * (snapshots[j - 1].mass[:, None] * vecs), axis=0))
-        sign[sign == 0.0] = 1.0
-        vecs *= sign[None, :]
-        values[:, j] = vals
-        vectors.append(vecs)
+        sign = np.where(inner[np.arange(k), cols] < 0.0, -1.0, 1.0)
+        values[:, j] = snap.eigenvalues[cols]
+        vectors.append(snap.eigenvectors[:, cols] * sign)
         for b in crossing:
             flagged[b, j] = True
             flagged[b, j - 1] = True
@@ -110,8 +105,6 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
         vectors=vectors,
         flagged=flagged,
         sorted_values=np.sort(values, axis=0),
-        overlap_min=overlap_min,
-        gap_tol=gap_tol,
     )
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricciflow import bounds
 
@@ -21,6 +23,7 @@ from ricciflow import (
     track_branches,
 )
 from ricciflow.bounds import DEFAULT_C_DISC, DEFAULT_TOL_RATIO, mean_edge_length, surface_checks
+from ricciflow.reporting import canonical_json
 
 
 def test_envelope_trivial_constant_curvature():
@@ -257,6 +260,73 @@ def test_checks_on_real_run(run1):
     ]
     for check in checks:
         assert check.satisfied, check
+
+
+
+def _times(draw, count):
+    """``count`` strictly increasing times starting at 0."""
+    gaps = draw(st.lists(st.floats(1e-4, 1.0), min_size=count - 1, max_size=count - 1))
+    return np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+@st.composite
+def _series(draw):
+    """A fabricated series record and inputs in the shapes live runs build."""
+    n_steps = draw(st.integers(1, 8))
+    curv = st.floats(-50.0, 50.0)
+    pairs = draw(st.lists(st.tuples(curv, curv), min_size=n_steps, max_size=n_steps))
+    steps = {
+        "t": _times(draw, n_steps),
+        "R_min": np.array([min(p) for p in pairs]),
+        "R_max": np.array([max(p) for p in pairs]),
+    }
+    if draw(st.booleans()):
+        vertex = st.integers(0, 100)
+        steps["argmin"] = np.array(draw(st.lists(vertex, min_size=n_steps, max_size=n_steps)))
+        steps["argmax"] = np.array(draw(st.lists(vertex, min_size=n_steps, max_size=n_steps)))
+
+    k = draw(st.integers(2, 12))
+    n_snaps = draw(st.integers(1, 6))
+    entries = k * n_snaps
+    values = np.array(
+        draw(st.lists(st.floats(1e-6, 1e4), min_size=entries, max_size=entries))
+    ).reshape(k, n_snaps)
+    flagged = np.array(
+        draw(st.lists(st.booleans(), min_size=entries, max_size=entries))
+    ).reshape(k, n_snaps)
+    spectrum = {
+        "times": _times(draw, n_snaps),
+        "values": values,
+        "flagged": flagged,
+        "sorted_values": np.sort(values, axis=0),
+    }
+
+    window = draw(st.lists(st.floats(-100.0, -1e-3), min_size=3, max_size=3, unique=True))
+    alpha, r, beta = sorted(window)
+    inputs = {
+        "alpha": alpha,
+        "beta": beta,
+        "r": r,
+        "mean_edge_length": draw(st.floats(1e-3, 10.0)),
+        "c_disc": draw(st.floats(0.0, 100.0)),
+        "tol_ratio": draw(st.floats(0.0, 1.0)),
+        "k": k,
+    }
+    return steps, spectrum, inputs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series())
+def test_surface_checks_total_on_fabricated_series(series):
+    # a valid series either gives finite, serializable checks or a typed
+    # refusal (HypothesisError, or ValueError when no sample is checkable)
+    try:
+        checks, _ = surface_checks(*series)
+    except (HypothesisError, ValueError):
+        return
+    for check in checks:
+        assert np.isfinite(check.worst_margin), check
+        canonical_json(check.as_dict())
 
 
 def test_benchmark_tracer_records_check_spans(monkeypatch):

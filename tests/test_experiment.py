@@ -13,6 +13,7 @@ import pytest
 
 from ricciflow import ConfigError, EigensolverError, HypothesisError
 from ricciflow import flow as flow_module
+from ricciflow.audit import audit_directory
 from ricciflow.cli import main as cli_main
 from ricciflow.experiment import (
     ExperimentConfig,
@@ -243,6 +244,32 @@ def test_flow_experiment_converged_at_start(tmp_path):
     assert cli_main(["audit", "--dir", str(tmp_path / "idle"), "--quiet"]) == 0
     audit = read_report_json(tmp_path / "idle" / "audit_report.json")
     assert audit["checks"] == artifacts.report_dict["checks"]
+
+
+def test_flow_experiment_converged_at_start_level1(tmp_path):
+    # a perturbed level-1 surface within the loose tolerance at t = 0: the
+    # lone snapshot is tracked like any other, and the checks that need only
+    # one sample run on it
+    out = tmp_path / "idle1"
+    data = _config_dict(
+        mesh={"generator": "genus2", "level": 1},
+        flow={"k": 12, "convergence_tol": 1.0},
+        output_dir=str(out),
+    )
+    artifacts = run_flow_experiment(ExperimentConfig.from_dict(data))
+    assert artifacts.trace.converged
+    assert len(artifacts.trace.samples) == 1
+    rows = (out / "spectrum.csv").read_text().splitlines()
+    assert len(rows) == 2  # header and one data row
+    checks = artifacts.report_dict["checks"]
+    assert [c["name"] for c in checks] == [
+        "curvature_envelope_lower",
+        "curvature_envelope_upper",
+        "curvature_stays_below_beta",
+        "eigenvalue_ratio_window",
+    ]
+    assert all(c["satisfied"] for c in checks)
+    assert audit_directory(str(out))["checks"] == checks
 
 
 def test_cli_exit_one_on_violated_check(tmp_path):

@@ -8,6 +8,7 @@ from ricciflow import (
     track_branches,
 )
 from ricciflow.tracking import (
+    DEFAULT_GAP_TOL,
     BranchSet,
     dual_area_rate_residuals,
     evolution_residual_median,
@@ -85,8 +86,6 @@ def test_log_derivative_constant_branch():
         vectors=[None] * 11,
         flagged=np.zeros((3, 11), dtype=bool),
         sorted_values=np.sort(values, axis=0),
-        overlap_min=0.6,
-        gap_tol=1e-3,
     )
     assert abs(branch_log_derivative(bs, 1, 5)) < 1e-12
     assert abs(branch_log_derivative(bs, 1, 0, scheme="one_sided")) < 1e-12
@@ -102,8 +101,6 @@ def test_log_derivative_exponential_branch():
         vectors=[None] * 26,
         flagged=np.zeros((2, 26), dtype=bool),
         sorted_values=np.sort(values, axis=0),
-        overlap_min=0.6,
-        gap_tol=1e-3,
     )
     der = branch_log_derivative(bs, 1, 12)
     assert abs(der - c) < 1e-9  # exact exponential: only rounding remains
@@ -122,8 +119,6 @@ def test_log_derivative_crossing_guard():
         vectors=[None] * 5,
         flagged=flagged,
         sorted_values=values,
-        overlap_min=0.6,
-        gap_tol=1e-3,
     )
     with pytest.raises(BranchCrossingError):
         branch_log_derivative(bs, 1, 2)
@@ -179,8 +174,6 @@ def test_evolution_formula_crossing_error(run1):
         vectors=branches.vectors,
         flagged=flagged,
         sorted_values=branches.sorted_values,
-        overlap_min=branches.overlap_min,
-        gap_tol=branches.gap_tol,
     )
     with pytest.raises(BranchCrossingError):
         evolution_formula_residual(trace, rigged, 2, j)
@@ -199,6 +192,42 @@ def test_normalization_rate(run1):
 
 
 def test_track_requires_matching_snapshots(run1):
-    snaps = _snapshots(run1)
-    with pytest.raises(ValueError):
-        track_branches(snaps[:1])
+    snap = _snapshots(run1)[0]
+    fewer_modes = snap.__class__(
+        t=snap.t + 0.1,
+        eigenvalues=snap.eigenvalues[:-1],
+        eigenvectors=snap.eigenvectors[:, :-1],
+        residuals=snap.residuals[:-1],
+        mass=snap.mass,
+    )
+    fewer_vertices = snap.__class__(
+        t=snap.t + 0.1,
+        eigenvalues=snap.eigenvalues,
+        eigenvectors=snap.eigenvectors[:-1],
+        residuals=snap.residuals,
+        mass=snap.mass[:-1],
+    )
+    for snaps in ([], [snap, fewer_modes], [snap, fewer_vertices]):
+        with pytest.raises(ValueError):
+            track_branches(snaps)
+
+
+def test_track_single_snapshot(run1):
+    snap = _snapshots(run1)[0]
+    # the second copy puts a near-degenerate pair at values 2 and 3
+    values = snap.eigenvalues.copy()
+    values[3] = values[2] * (1.0 + 1e-6)
+    tight = snap.__class__(snap.t, values, snap.eigenvectors, snap.residuals, snap.mass)
+    for one in (snap, tight):
+        branches = track_branches([one])
+        assert np.array_equal(branches.times, [one.t])
+        assert np.array_equal(branches.values, one.eigenvalues[:, None])
+        assert np.array_equal(branches.sorted_values, branches.values)
+        assert len(branches.vectors) == 1
+        assert np.array_equal(branches.vectors[0], one.eigenvectors)
+        # flagged exactly where another value lies within the relative gap
+        vals = one.eigenvalues
+        near = np.abs(vals[:, None] - vals[None, :]) < DEFAULT_GAP_TOL * vals.max()
+        np.fill_diagonal(near, False)
+        assert np.array_equal(branches.flagged[:, 0], near.any(axis=1))
+    assert track_branches([tight]).flagged[[2, 3], 0].all()
