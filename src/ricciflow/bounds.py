@@ -175,22 +175,30 @@ def log_derivative_corridor_check(times, values, flagged, r, alpha, beta, h, bra
         raise HypothesisError("need alpha < r < beta < 0")
     times = np.asarray(times, dtype=float)
     margins, tols, witnesses = [], [], []
-    for b in branches:
+    for b, j in _corridor_stencils(values, flagged, branches):
         vals = values[b]
-        for j in range(1, times.shape[0] - 1):
-            if flagged[b, j - 1 : j + 2].any() or np.any(vals[j - 1 : j + 2] <= 0.0):
-                continue
-            der = central_difference(times[j - 1 : j + 2], np.log(vals[j - 1 : j + 2]))
-            dt_loc = max(times[j] - times[j - 1], times[j + 1] - times[j])
-            tol = c_disc * h * h * abs(r) + (dt_loc * abs(r)) ** 2 * abs(r)
-            lo = alpha * np.exp(r * times[j])
-            hi = -r * np.exp(beta * times[j])
-            margins.append(min(der - lo, hi - der) + tol)
-            tols.append(tol)
-            witnesses.append({"time": float(times[j]), "index": int(b)})
+        der = central_difference(times[j - 1 : j + 2], np.log(vals[j - 1 : j + 2]))
+        dt_loc = max(times[j] - times[j - 1], times[j + 1] - times[j])
+        tol = c_disc * h * h * abs(r) + (dt_loc * abs(r)) ** 2 * abs(r)
+        lo = alpha * np.exp(r * times[j])
+        hi = -r * np.exp(beta * times[j])
+        margins.append(min(der - lo, hi - der) + tol)
+        tols.append(tol)
+        witnesses.append({"time": float(times[j]), "index": int(b)})
     if not margins:
         raise ValueError("no unflagged branch samples to check")
     return _mk_check("log_derivative_corridor", np.asarray(margins), witnesses.__getitem__, tols)
+
+
+def _corridor_stencils(values, flagged, branches):
+    """``(branch, snapshot)`` of every interior snapshot whose three-point
+    stencil is unflagged and positive, i.e. where the corridor is checked."""
+    return [
+        (b, j)
+        for b in branches
+        for j in range(1, np.shape(values)[1] - 1)
+        if not (flagged[b, j - 1 : j + 2].any() or np.any(values[b][j - 1 : j + 2] <= 0.0))
+    ]
 
 
 def ratio_bound_check(mu_start, mu_end, alpha, beta, r, tol_ratio=DEFAULT_TOL_RATIO):
@@ -202,7 +210,10 @@ def ratio_bound_check(mu_start, mu_end, alpha, beta, r, tol_ratio=DEFAULT_TOL_RA
     """
     if not alpha < r < beta < 0.0:
         raise HypothesisError("need alpha < r < beta < 0")
-    lo, hi = float(np.exp(-alpha / r)), float(np.exp(r / beta))
+    with np.errstate(over="ignore"):
+        lo, hi = float(np.exp(-alpha / r)), float(np.exp(r / beta))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise HypothesisError(f"ratio bracket [{lo:.6g}, {hi:.6g}] is not finite")
     return _ratio_window("eigenvalue_ratio_window", mu_end, mu_start, lo, hi, tol_ratio), (lo, hi)
 
 
@@ -245,7 +256,12 @@ def main_theorem_factor(alpha, beta, r, delta):
         raise HypothesisError("need alpha < r < beta < 0")
     if delta < 0.0:
         raise HypothesisError("delta must be non-negative")
-    return float(np.exp(alpha / r + r / beta + 4.0 * delta))
+    log_factor = alpha / r + r / beta + 4.0 * delta
+    with np.errstate(over="ignore"):
+        factor = float(np.exp(log_factor))
+    if not np.isfinite(factor):
+        raise HypothesisError(f"main theorem factor e^{log_factor:.6g} is not finite")
+    return factor
 
 
 def main_theorem_check(spec1, spec2, alpha, beta, r, delta, tol_ratio=DEFAULT_TOL_RATIO):
@@ -279,7 +295,7 @@ def _travel(sorted_values):
     return sorted_values[1 : 1 + n, 0], sorted_values[1 : 1 + n, -1]
 
 
-def surface_checks(steps, spectrum, inputs):
+def surface_checks(steps, spectrum, inputs, warnings=None):
     """Every bound check of one flow, from its series record.
 
     ``steps`` maps ``t``, ``R_min``, ``R_max`` and, if known, the vertices
@@ -288,7 +304,9 @@ def surface_checks(steps, spectrum, inputs):
     row per eigenvalue, one column per snapshot). ``inputs`` holds the
     ``SURFACE_INPUTS``. Live runs and ``audit`` both call this, so they run
     the same checks with the same settings. Returns the checks and the ratio
-    bracket.
+    bracket. A check that has nothing to check is left out; when that is the
+    corridor of a run with three or more snapshots, a message saying so is
+    appended to ``warnings`` (a list, if given).
     """
     alpha, beta, r, h, c_disc, tol_ratio, k = (inputs[key] for key in SURFACE_INPUTS)
     t, r_max, argmax = steps["t"], steps["R_max"], steps.get("argmax")
@@ -305,7 +323,8 @@ def surface_checks(steps, spectrum, inputs):
     )
     if t.shape[0] >= 3:
         checks.append(rmax_ode_check(t, r_max, r, c_disc * h * h * r * r, argmax=argmax))
-    if spectrum["times"].shape[0] >= 3:
+    branches = checked_branches(k)
+    if _corridor_stencils(spectrum["values"], spectrum["flagged"], branches):
         checks.append(
             log_derivative_corridor_check(
                 spectrum["times"],
@@ -315,9 +334,13 @@ def surface_checks(steps, spectrum, inputs):
                 alpha,
                 beta,
                 h,
-                checked_branches(k),
+                branches,
                 c_disc,
             )
+        )
+    elif spectrum["times"].shape[0] >= 3 and warnings is not None:
+        warnings.append(
+            "log_derivative_corridor skipped: no stencil of the checked branches is unflagged"
         )
     ratio, bracket = ratio_bound_check(
         *_travel(spectrum["sorted_values"]), alpha, beta, r, tol_ratio

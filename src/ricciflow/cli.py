@@ -168,7 +168,7 @@ def _cmd_pair(args):
     from .experiment import run_pair_experiment
 
     config = _load_config(args)
-    artifacts = run_pair_experiment(config, progress=None)
+    artifacts = run_pair_experiment(config)
     ok = artifacts.report_dict["all_satisfied"]
     _say(
         args,
@@ -180,22 +180,20 @@ def _cmd_pair(args):
 
 
 def _cmd_timemap(args):
+    from .errors import ConfigError, HypothesisError
     from .flow import rf_nrf_time_map
 
+    if args.chi >= 0:
+        raise HypothesisError("timemap requires negative Euler characteristic")
     try:
         taus = [float(x) for x in args.tau.split(",") if x.strip()]
-    except ValueError as exc:
-        from .errors import ConfigError
-
-        raise ConfigError(f"bad tau list: {args.tau!r}") from exc
-    if args.chi >= 0:
-        from .errors import HypothesisError
-
-        raise HypothesisError("timemap requires negative Euler characteristic")
+        # OverflowError: a chi beyond the float range
+        t, area = rf_nrf_time_map(args.area0, args.chi, taus)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid timemap arguments: {exc}") from exc
     print(f"{'tau':>16} {'t':>16} {'area':>16}")
-    for tau in taus:
-        t, area = rf_nrf_time_map(args.area0, args.chi, tau)
-        print(f"{tau:16.10g} {t:16.10g} {area:16.10g}")
+    for row in zip(taus, t, area):
+        print(" ".join(f"{x:16.10g}" for x in row))
     return 0
 
 

@@ -74,7 +74,8 @@ class EigensolverError(RicciFlowError):
 
 
 class FlowAbortError(RicciFlowError):
-    """Time integration could not continue (step size underflow)."""
+    """Time integration could not continue: the step size underflowed, or
+    the pair worker process running the flow ended abruptly."""
 
     def __init__(self, message, t=None, dt=None):
         super().__init__(message)

@@ -3,21 +3,23 @@
 A flow experiment builds a surface (generated or loaded), normalizes its
 area, perturbs it, runs the flow, tracks the spectrum, and evaluates every
 applicable bound check. The pair experiment builds the base surface once,
-runs this for two perturbations of it concurrently, and adds the two-surface
-comparison checks, including the end-to-end spectral comparison with the
-measured distortion bound of the two limits.
+runs this for two perturbations of it in two worker processes, and adds the
+two-surface comparison checks, including the end-to-end spectral comparison
+with the measured distortion bound of the two limits.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import bounds as bnd
-from .errors import ConfigError, EigensolverError, HypothesisError
+from .errors import ConfigError, EigensolverError, FlowAbortError, HypothesisError
 from .flow import FlowConfig, integer_at_least, monotonicity_violations, real_number, run_flow
 from .geometry import ConformalMetric, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
@@ -243,7 +245,8 @@ def _surface_block(config, window, trace, branch_set):
         "seed": config.flow.seed,
         "converged": bool(trace.converged),
     }
-    checks, bracket = bnd.surface_checks(trace.steps, vars(branch_set), inputs)
+    warnings = list(trace.warnings)
+    checks, bracket = bnd.surface_checks(trace.steps, vars(branch_set), inputs, warnings)
     inputs["ratio_bracket"] = list(bracket)
     report = bnd.BoundReport(checks, inputs)
 
@@ -273,7 +276,7 @@ def _surface_block(config, window, trace, branch_set):
         "inputs": inputs,
         "checks": [c.as_dict() for c in checks],
         "residual_stats": stats,
-        "warnings": list(trace.warnings),
+        "warnings": warnings,
     }
     return report, block
 
@@ -299,26 +302,38 @@ def run_flow_experiment(config, progress=None):
     return FlowArtifacts(config, metric, window, trace, branch_set, report, report_dict)
 
 
-def run_pair_experiment(config, progress=None):
+def run_pair_experiment(config):
     """Two-surface pipeline behind the spectral comparison theorem.
 
-    Both perturbations start from one base surface, so the two flows share
-    its mesh and geometry kernel, which are read-only. The measured
-    curvature windows are merged (widest wins), both flows run
-    concurrently, and the comparison checks use the distortion upper bound
-    of the two limit metrics.
+    Both perturbations start from one base surface. The two flows run in
+    two worker processes, so they do not contend for the GIL; each worker
+    runs exactly the in-process pipeline and pickles its result back, which
+    is rejoined to the base surface's mesh here. The measured curvature
+    windows are merged (widest wins), and the comparison checks use the
+    distortion upper bound of the two limit metrics.
     """
     if len(config.perturbations) != 2:
         raise ConfigError("pair experiment needs exactly two perturbation specs")
     base = build_base_metric(config)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [
-            pool.submit(_run_one_surface, config, base, spec, progress)
-            for spec in config.perturbations
-        ]
-        results = [f.result() for f in futures]
+    # forked workers inherit the loaded modules (and any patches of them);
+    # forkserver and spawn would re-import numpy and scipy in every worker
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        futures = [pool.submit(_run_in_worker, config, base, spec) for spec in config.perturbations]
+        results, died = [], []
+        for i, future in enumerate(futures, start=1):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                died.append(i)
+    if died:
+        raise FlowAbortError(f"a pair worker process ended abruptly; unflowed surfaces: {died}")
 
-    (m1, w1, tr1, bs1), (m2, w2, tr2, bs2) = results
+    (m1, w1, tr1, bs1), (m2, w2, tr2, bs2) = [
+        (ConformalMetric(base.mesh, tr.base_lengths, u), w, replace(tr, mesh=base.mesh), bs)
+        for u, w, tr, bs in results
+    ]
     # perturbation renormalizes the area, so sharing the mesh does not settle these
     area1 = tr1.samples[0].curvature.total_area
     area2 = tr2.samples[0].curvature.total_area
@@ -360,6 +375,13 @@ def run_pair_experiment(config, progress=None):
         combined,
         report_dict,
     )
+
+
+def _run_in_worker(config, base, spec):
+    """``_run_one_surface`` in a pair worker. The parent already holds the
+    mesh, which is 40% of a level-3 result's pickle, so it is not sent back."""
+    metric, window, trace, branch_set = _run_one_surface(config, base, spec)
+    return metric.u, window, replace(trace, mesh=None), branch_set
 
 
 def _emit(config, report_dict, surfaces):

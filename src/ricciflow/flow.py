@@ -343,18 +343,22 @@ def rf_nrf_time_map(area0, chi, tau):
     Returns ``(t, area_at_t)`` with ``t = area0/(4 pi chi) (1 - e^{-4 pi chi tau})``
     and ``area_t = area0 - 4 pi chi t``. Only hyperbolic type (chi < 0) is
     accepted; ``t`` is then strictly increasing and unbounded in ``tau``.
-    Accepts scalar or array ``tau >= 0``.
+    Accepts a finite positive ``area0`` and scalar or array finite
+    ``tau >= 0``; a ``tau`` whose area overflows a float raises ValueError.
     """
     if chi >= 0:
         raise ValueError("time map requires negative Euler characteristic")
-    if area0 <= 0.0:
-        raise ValueError("area0 must be positive")
+    if not (np.isfinite(area0) and area0 > 0.0):
+        raise ValueError(f"area0 must be finite and positive, got {area0}")
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("tau must be non-negative")
+    if not np.all(np.isfinite(tau) & (tau >= 0.0)):
+        raise ValueError("tau must be finite and non-negative")
     coeff = 4.0 * np.pi * chi
-    t = area0 / coeff * (1.0 - np.exp(-coeff * tau)) + 0.0  # +0.0 avoids -0.0 at tau=0
-    area = area0 - coeff * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = area0 / coeff * (1.0 - np.exp(-coeff * tau)) + 0.0  # +0.0 avoids -0.0 at tau=0
+        area = area0 - coeff * t
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(area))):
+        raise ValueError("tau too large: the flow's area overflows a float")
     if tau.ndim == 0:
         return float(t), float(area)
     return t, area

@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,16 @@ def test_ratio_bound_rejects_bad_input():
         ratio_bound_check([1.0], [1.0, 1.0], -3.0, -1.0, -2.0)
     with pytest.raises(HypothesisError):
         ratio_bound_check([1.0], [1.0], -1.0, -3.0, -2.0)
+
+
+def test_ratio_bounds_reject_non_finite_factors():
+    # r / beta = 1000 and alpha / r = 1e4 overflow a float's exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HypothesisError):
+            ratio_bound_check(np.ones(3), np.ones(3), -2.0, -1e-3, -1.0)
+        with pytest.raises(HypothesisError):
+            main_theorem_factor(-1e4, -0.5, -1.0, 0.0)
 
 
 def test_distortion_identity_and_scaling(octagon0):
@@ -367,3 +378,48 @@ def test_benchmark_tracer_records_check_spans(monkeypatch):
         "bounds.log_derivative_corridor_check",
         "bounds.ratio_bound_check",
     }
+
+
+def _fabricated_record(flagged):
+    """Six steps and four snapshots of four constant branches; ``flagged`` (4, 4)."""
+    t = np.linspace(0.0, 0.5, 6)
+    steps = {"t": t, "R_min": np.full(6, -2.5), "R_max": np.full(6, -1.5)}
+    values = np.outer([1e-12, 2.0, 3.0, 5.0], np.ones(4))
+    spectrum = {
+        "times": np.linspace(0.0, 0.5, 4),
+        "values": values,
+        "flagged": flagged,
+        "sorted_values": values,
+    }
+    inputs = {
+        "alpha": -3.0,
+        "beta": -1.0,
+        "r": -2.0,
+        "mean_edge_length": 0.1,
+        "c_disc": DEFAULT_C_DISC,
+        "tol_ratio": DEFAULT_TOL_RATIO,
+        "k": 4,
+    }
+    return steps, spectrum, inputs
+
+
+def test_surface_checks_skip_corridor_without_checkable_stencil():
+    # every stencil flagged: the corridor has nothing to check, so it is left
+    # out with a warning instead of raising
+    notes = []
+    checks, _ = surface_checks(*_fabricated_record(np.ones((4, 4), dtype=bool)), notes)
+    assert [c.name for c in checks] == [
+        "curvature_envelope_lower",
+        "curvature_envelope_upper",
+        "curvature_stays_below_beta",
+        "rmax_comparison_ode",
+        "eigenvalue_ratio_window",
+    ]
+    assert len(notes) == 1 and notes[0].startswith("log_derivative_corridor skipped")
+
+    # one checkable stencil brings the corridor back, with nothing to note
+    flagged = np.ones((4, 4), dtype=bool)
+    flagged[1, :3] = False
+    checks, _ = surface_checks(*_fabricated_record(flagged), notes)
+    assert "log_derivative_corridor" in [c.name for c in checks]
+    assert len(notes) == 1

@@ -1,22 +1,31 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricciflow import ConfigError, EigensolverError, HypothesisError
+from ricciflow import errors as errors_module
 from ricciflow import flow as flow_module
 from ricciflow.audit import audit_directory
 from ricciflow.cli import main as cli_main
 from ricciflow.experiment import (
     ExperimentConfig,
+    _run_one_surface,
     build_base_metric,
     pde_residual_median,
     run_flow_experiment,
@@ -142,31 +151,108 @@ def test_pair_experiment_opposite_perturbations():
     assert np.abs(u1 - u2).max() <= 10.0 * conv
 
 
+def _shrink_area_of_seed_6(config, base, spec, progress=None):
+    # a stand-in for _run_one_surface that the pair's forked workers inherit;
+    # it shrinks the recorded area of one surface, picked by its seed because
+    # a call count kept in one process cannot be seen by the other
+    metric, window, trace, branches = _run_one_surface(config, base, spec, progress)
+    if spec.seed == 6:
+        bad = replace(trace.samples[0].curvature, total_area=1.0)
+        trace.samples[0] = flow_module.FlowSample(
+            step=0, t=0.0, u=trace.samples[0].u, curvature=bad,
+            spectrum=trace.samples[0].spectrum,
+        )
+    return metric, window, trace, branches
+
+
 def test_pair_area_guard(monkeypatch):
     import ricciflow.experiment as exp
 
-    real = exp._run_one_surface
-    calls = []
-
-    def rigged(config, base, spec, progress=None):
-        metric, window, trace, branches = real(config, base, spec, progress)
-        if calls:  # shrink the second surface's recorded area
-            from dataclasses import replace
-
-            bad = replace(trace.samples[0].curvature, total_area=1.0)
-            trace.samples[0] = exp.run_flow.__globals__["FlowSample"](
-                step=0, t=0.0, u=trace.samples[0].u, curvature=bad,
-                spectrum=trace.samples[0].spectrum,
-            )
-        calls.append(1)
-        return metric, window, trace, branches
-
-    monkeypatch.setattr(exp, "_run_one_surface", rigged)
+    monkeypatch.setattr(exp, "_run_one_surface", _shrink_area_of_seed_6)
     data = _config_dict(
         perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": 0.02, "seed": 6}]
     )
     with pytest.raises(HypothesisError):
         run_pair_experiment(ExperimentConfig.from_dict(data))
+
+
+def test_dead_pair_worker_is_typed_error(monkeypatch, tmp_path, capsys):
+    # forked workers inherit the patch; a worker that dies must not leave the
+    # CLI with a BrokenProcessPool traceback
+    import ricciflow.experiment as exp
+
+    monkeypatch.setattr(exp, "run_flow", lambda *args, **kwargs: os._exit(3))
+    cfg = tmp_path / "pair.json"
+    _write_config(cfg, _config_dict(
+        perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}]
+    ))
+    assert cli_main(["pair", "--config", str(cfg), "--quiet"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "FlowAbortError"
+    assert "surface" in payload["message"]
+
+
+def _round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def test_errors_survive_pickle():
+    # a pair worker's error reaches the parent by pickle, with its attributes
+    classes = [
+        obj for obj in vars(errors_module).values()
+        if isinstance(obj, type) and issubclass(obj, errors_module.RicciFlowError)
+    ]
+    extra = {
+        errors_module.TriangleInequalityError: {"face": 17},
+        errors_module.EigensolverError: {"best_residual": 2.5e-7},
+        errors_module.FlowAbortError: {"t": 0.125, "dt": 1e-12},
+    }
+    for cls in classes:
+        exc = cls("message", **extra.get(cls, {}))
+        back = _round_trip(exc)
+        assert type(back) is cls and back.args == ("message",)
+        for name, value in extra.get(cls, {}).items():
+            assert getattr(back, name) == value
+
+    config = ExperimentConfig.from_dict(_config_dict(flow={"t_max": 0.01, "k": 8, "seed": 3}))
+    metric, _ = perturb_metric(build_base_metric(config), 0.02, 5)
+    exc = errors_module.FlowAbortError("step size underflow", t=0.01, dt=1e-14)
+    exc.trace = flow_module.run_flow(metric, config.flow)
+    back = _round_trip(exc)
+    assert type(back) is errors_module.FlowAbortError and (back.t, back.dt) == (0.01, 1e-14)
+    assert np.array_equal(back.trace.mesh.triangles, exc.trace.mesh.triangles)
+    for key, column in exc.trace.steps.items():
+        assert np.array_equal(back.trace.steps[key], column)
+    assert [s.t for s in back.trace.samples] == [s.t for s in exc.trace.samples]
+
+
+def test_pair_workers_match_in_process_runs():
+    # each worker process runs exactly the in-process per-surface pipeline
+    config = ExperimentConfig.from_dict(_config_dict(
+        mesh={"generator": "genus2", "level": 1},
+        perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}],
+    ))
+    pair = run_pair_experiment(config)
+    assert pair.surfaces[0][2].mesh is pair.surfaces[1][2].mesh  # rejoined to one base mesh
+    base = build_base_metric(config)
+    for spec, (metric, _, trace, branch_set) in zip(config.perturbations, pair.surfaces):
+        expected_metric, _, expected, expected_branches = _run_one_surface(config, base, spec)
+        assert trace.converged and expected.converged
+        assert np.array_equal(metric.u, expected_metric.u)
+        assert trace.steps.keys() == expected.steps.keys()
+        for key, column in expected.steps.items():
+            assert np.array_equal(trace.steps[key], column), key
+        assert len(trace.samples) == len(expected.samples)
+        for got, want in zip(trace.samples, expected.samples):
+            assert got.t == want.t and np.array_equal(got.u, want.u)
+            assert (got.spectrum is None) == (want.spectrum is None)
+            if want.spectrum is not None:
+                for field in ("eigenvalues", "eigenvectors", "residuals", "mass"):
+                    assert np.array_equal(getattr(got.spectrum, field),
+                                          getattr(want.spectrum, field)), field
+        assert np.array_equal(branch_set.values, expected_branches.values)
 
 
 def test_flow_experiment_wrong_spec_count():
@@ -272,6 +358,29 @@ def test_flow_experiment_converged_at_start_level1(tmp_path):
     assert audit_directory(str(out))["checks"] == checks
 
 
+def test_flow_with_every_branch_flagged_skips_corridor(monkeypatch, tmp_path):
+    # a tracker that flags every sample leaves the corridor nothing to check:
+    # the live run and its audit both leave it out, and the report says why
+    import ricciflow.experiment as exp
+
+    real = exp.track_branches
+
+    def flag_everything(snapshots):
+        branches = real(snapshots)
+        return replace(branches, flagged=np.ones_like(branches.flagged))
+
+    monkeypatch.setattr(exp, "track_branches", flag_everything)
+    out = tmp_path / "flagged"
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict(flow={"spectrum_every": 5, "k": 8, "seed": 3}))
+    assert cli_main(["flow", "--config", str(cfg), "--out", str(out), "--quiet"]) in (0, 1)
+    report = read_report_json(out / "report.json")
+    assert len(report["checks"]) == 5
+    assert "log_derivative_corridor" not in [c["name"] for c in report["checks"]]
+    assert report["warnings"][-1].startswith("log_derivative_corridor skipped")
+    assert audit_directory(str(out))["checks"] == report["checks"]
+
+
 def test_cli_exit_one_on_violated_check(tmp_path):
     cfg = tmp_path / "config.json"
     out = tmp_path / "out"
@@ -350,14 +459,32 @@ def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):
 
 def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):
     # perfbench/tracer.py patches the experiment layer by module attribute;
-    # the span counts show that a pair builds its base surface once and still
-    # calls every per-surface stage through those attributes, once per surface
+    # the counts show that a pair builds its base surface once and still
+    # calls every per-surface stage through those attributes, once per
+    # surface. Perturbation, flow and tracking run in the pair's worker
+    # processes, whose spans do not reach this process, so a wrapper under
+    # the tracer's counts those calls in a file instead.
+    import ricciflow.experiment as exp
+
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer_module)
     spec.loader.exec_module(tracer_module)
 
+    log = tmp_path / "worker_calls.txt"
+    in_workers = ("perturb_metric", "run_flow", "track_branches")
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(name + "\n")
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in in_workers:
+        monkeypatch.setattr(exp, name, counted(name, getattr(exp, name)))
     data = _config_dict(
         perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}],
         output_dir=str(tmp_path / "pair"),
@@ -368,9 +495,6 @@ def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):
     counts = Counter(s.name for s in tracer.spans)
     assert counts["mesh.generate_genus2"] == 1
     per_surface = [
-        "geometry.perturb_metric",
-        "flow.run_flow",
-        "tracking.track_branches",
         "reporting.write_trace_csv",
         "reporting.write_spectrum_csv",
         "tracking.monotonicity_violations",
@@ -380,6 +504,7 @@ def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):
         "tracking.pde_residual_median",
     ]
     assert {name: counts[name] for name in per_surface} == dict.fromkeys(per_surface, 2)
+    assert Counter(log.read_text(encoding="ascii").split()) == dict.fromkeys(in_workers, 2)
 
 
 def test_cli_audit_truncated_trace(tmp_path, capsys):
@@ -540,9 +665,10 @@ def test_artifacts_independent_of_thread_count(tmp_path):
 
 
 def test_flows_sharing_one_base_surface_match_sequential_runs():
-    # the pair's flow threads share one mesh and geometry kernel; with more
-    # threads than cores and a short switch interval, every flow must still
-    # equal its sequential run bit for bit
+    # flows started from one base surface share its mesh and geometry
+    # kernel, so library callers may run them in threads; with more threads
+    # than cores and a short switch interval, every flow must still equal its
+    # sequential run bit for bit
     config = ExperimentConfig.from_dict(_config_dict())
     base = build_base_metric(config)
     amplitudes = (0.02, -0.02, 0.01, -0.01)
@@ -573,6 +699,58 @@ def test_cli_timemap(capsys):
     assert float(rows[0][1]) == 0.0
     assert abs(float(rows[1][1]) - 0.03979) < 1e-4
     assert cli_main(["timemap", "--area0", "1.0", "--chi", "2", "--tau", "0"]) == 2
+
+
+def _timemap(argv):
+    """Exit status and stdout lines of ``ricciflow timemap``; warnings are errors."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error")
+        code = cli_main(["timemap", *argv])
+    return code, out.getvalue().splitlines()
+
+
+def _assert_exit_contract(code, lines):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in ("ConfigError", "HypothesisError")
+
+
+@pytest.mark.parametrize(
+    "area0, tau",
+    [
+        ("-1", "0.1"),
+        ("0", "0.1"),
+        ("nan", "0.1"),
+        ("inf", "0.1"),
+        ("1", "-0.1"),
+        ("1", "nan"),
+        ("1", "0,inf"),
+        ("1", "1e6"),  # the area e^{8 pi tau} overflows
+        ("1e300", "30"),
+    ],
+)
+def test_cli_timemap_rejects_bad_arguments(area0, tau):
+    code, lines = _timemap([f"--area0={area0}", "--chi=-2", f"--tau={tau}"])
+    assert code == 2
+    _assert_exit_contract(code, lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    area0=st.floats(),
+    chi=st.integers(),
+    taus=st.lists(
+        st.one_of(st.floats().map(repr), st.text(alphabet="0123456789.e-+ infa", max_size=6)),
+        max_size=4,
+    ),
+)
+def test_cli_timemap_exit_contract(area0, chi, taus):
+    # argparse has typed --area0 and --chi; every value it accepts, and any
+    # --tau text, ends in a table, or in exit 2 with one JSON line
+    code, lines = _timemap([f"--area0={area0!r}", f"--chi={chi}", f"--tau={','.join(taus)}"])
+    _assert_exit_contract(code, lines)
 
 
 def test_cli_gen(tmp_path, capsys):
