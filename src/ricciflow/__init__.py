@@ -27,7 +27,6 @@ from .errors import (
     BoundaryEdgeError,
     BranchCrossingError,
     ConfigError,
-    DegenerateTriangleError,
     DisconnectedError,
     EigensolverError,
     FlowAbortError,
@@ -57,6 +56,7 @@ from .flow import (
     nrf_velocity,
     rf_nrf_time_map,
     run_flow,
+    solve_snapshots,
     step,
 )
 from .geometry import (
@@ -112,6 +112,7 @@ __all__ = [
     "nrf_velocity",
     "step",
     "run_flow",
+    "solve_snapshots",
     "rf_nrf_time_map",
     "curvature_pde_residual",
     "monotonicity_violations",
@@ -143,7 +144,6 @@ __all__ = [
     "MeshInvariantError",
     "GeometryError",
     "TriangleInequalityError",
-    "DegenerateTriangleError",
     "PerturbationError",
     "BranchCrossingError",
     "EigensolverError",

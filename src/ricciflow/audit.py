@@ -7,8 +7,7 @@ eigenvalues with crossing flags. Audit reads them, with the report's
 inputs, into the series record a live run builds and hands it to
 ``bounds.surface_checks`` and ``bounds.pair_checks``, so it reproduces the
 live check list exactly; only the eigenvector-dependent residual statistics
-are not re-audited. A trace written before the ``argmin``/``argmax`` columns
-existed still audits, with envelope witnesses that carry times only.
+are not re-audited.
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ def _surface_record(path, stored):
     holding its ``inputs``."""
     stored_inputs = json_object(json_object(stored, "surface block")["inputs"], "inputs")
     trace = read_trace_csv(os.path.join(path, "trace.csv"))
-    steps = {name: trace[name] for name in ("t", "R_min", "R_max")}
-    steps.update((name, trace[name]) for name in ("argmin", "argmax") if name in trace)
+    steps = {name: trace[name] for name in ("t", "R_min", "R_max", "argmin", "argmax")}
     spectrum = read_spectrum_csv(os.path.join(path, "spectrum.csv"))
     inputs = {key: stored_inputs[key] for key in bnd.SURFACE_INPUTS}
     if spectrum["values"].shape[0] != inputs["k"]:

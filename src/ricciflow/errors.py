@@ -48,15 +48,6 @@ class TriangleInequalityError(GeometryError):
         self.face = face
 
 
-class DegenerateTriangleError(GeometryError):
-    """A face has (numerically) zero area.
-
-    Kept for callers that catch it; the geometry kernel no longer raises it
-    and reports every face with ``16 A^2 <= 0`` as a
-    :class:`TriangleInequalityError`.
-    """
-
-
 class PerturbationError(GeometryError):
     """A metric perturbation left the admissible curvature class."""
 

@@ -7,13 +7,15 @@ scaling, so it stays inside the flow's conformal class). Step control is
 adaptive: one ``min`` of an accuracy-based candidate ``safety / max|R - r|``,
 a 2x growth factor, ``dt_init``, a linear-stability estimate of the stiffest
 curvature mode and the time left to ``t_max``; steps that break a triangle
-inequality are rejected and retried at half size.
+inequality are rejected and retried at half size, and a step size below
+``dt_min`` aborts the run. ``run_flow`` stores full states without spectra;
+``solve_snapshots`` solves them afterwards.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass, field as _field, replace
 
 import numpy as np
 
@@ -72,7 +74,8 @@ def integer_at_least(value, low, name):
 
 @dataclass(frozen=True)
 class FlowSample:
-    """Full state stored at snapshot cadence (plus first and last step)."""
+    """Full state stored at snapshot cadence (plus first and last step);
+    ``solve_snapshots`` sets ``spectrum``, None where the eigensolve failed."""
 
     step: int
     t: float
@@ -86,8 +89,9 @@ class FlowTrace:
     """Result of one flow run.
 
     Scalar curvature statistics are recorded at every accepted step in the
-    columnar ``steps`` arrays; full per-vertex states (with spectra) only at
-    snapshot cadence in ``samples``, which keeps long runs in memory.
+    columnar ``steps`` arrays; full per-vertex states (with spectra, once
+    ``solve_snapshots`` has run) only at snapshot cadence in ``samples``,
+    which keeps long runs in memory.
     """
 
     mesh: object
@@ -229,11 +233,14 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
     Returns
     -------
     FlowTrace
+        Samples at step 0, every ``spectrum_every`` accepted steps and the
+        last accepted step, all with ``spectrum=None`` (see ``solve_snapshots``).
 
     Raises
     ------
     FlowAbortError
-        If step rejection drives dt below ``dt_min`` (the partial trace is
+        If the step size, before the clip to ``t_max``, falls below
+        ``dt_min`` (the partial trace, its last accepted step sampled, is
         attached as ``exc.trace``).
     TriangleInequalityError
         If the initial state has a broken face or a non-finite value.
@@ -266,28 +273,20 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
         for name, value in row.items():
             trace.steps.setdefault(name, []).append(value)
 
-    def snapshot(step_idx, t, u, f):
-        spec = None
-        try:
-            stiffness, mass = assemble_operators(metric.with_u(u))
-            spec = smallest_eigenpairs(
-                stiffness, mass, config.k, tol=config.eig_tol, seed=config.seed, t=t
-            )
-        except EigensolverError as exc:
-            trace.warnings.append(f"eigensolver failed at t={t:.6g}: {exc}")
-        trace.samples.append(FlowSample(step_idx, t, u.copy(), f, spec))
+    def sample(step_idx, t, u, f):
+        trace.samples.append(FlowSample(step_idx, t, u.copy(), f, None))
 
     def finish():
         # the last accepted step is always sampled; the steps become arrays
         if trace.samples[-1].step != accepted:
-            snapshot(accepted, t, u, fld)
+            sample(accepted, t, u, fld)
         trace.steps = {name: np.asarray(vals) for name, vals in trace.steps.items()}
         return trace
 
     u = metric.u.copy()
     t = 0.0
     record(t, 0.0, fld)
-    snapshot(0, t, u, fld)
+    sample(0, t, u, fld)
 
     converged = fld.max_deviation() <= conv_threshold
     cap = _stability_cap(metric.with_u(u), config.seed)
@@ -298,21 +297,16 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
     while not converged and t < config.t_max:
         # the one step-size rule; dt has doubled after an accepted step and
         # halved after a rejection, which leaves it below every other term
-        dt = min(
-            dt,
-            config.dt_init,
-            config.safety / max(fld.max_deviation(), 1e-300),
-            cap,
-            config.t_max - t,
-        )
+        dt = min(dt, config.dt_init, config.safety / max(fld.max_deviation(), 1e-300), cap)
+        if dt < config.dt_min:
+            exc = FlowAbortError(f"step size underflow at t={t:.6g}", t=t, dt=dt)
+            exc.trace = finish()
+            raise exc
+        dt = min(dt, config.t_max - t)
         try:
             u_next, fld_next, vel_next = _rk4(ws, u, vel, dt, target_area)
         except TriangleInequalityError:
             dt *= 0.5
-            if dt < config.dt_min:
-                exc = FlowAbortError(f"step size underflow at t={t:.6g}", t=t, dt=dt)
-                exc.trace = finish()
-                raise exc
             since_cap = NORM_RECHECK_STEPS  # re-estimate stiffness after rejections
             continue
 
@@ -323,7 +317,7 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
         record(t, dt, fld)
 
         if accepted % config.spectrum_every == 0:
-            snapshot(accepted, t, u, fld)
+            sample(accepted, t, u, fld)
         if progress is not None and accepted % 2000 == 0:
             progress(t, fld.max_deviation(), dt)
 
@@ -335,6 +329,32 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
 
     trace.converged = converged
     return finish()
+
+
+def solve_snapshots(trace):
+    """Fill in the spectrum of every stored sample of ``trace``, in time order.
+
+    This is the one place that decides what a failed eigensolve means. At an
+    interior sample it records a warning and leaves the spectrum None. The
+    first and the last samples are the spectra at the start and at the end of
+    the flow, which the ratio and comparison checks read and no other sample
+    may stand in for, so a failure there raises :class:`EigensolverError`.
+    """
+    config = trace.config
+    last = len(trace.samples) - 1
+    for i, s in enumerate(trace.samples):
+        try:
+            stiffness, mass = assemble_operators(trace.metric_at(i))
+            spectrum = smallest_eigenpairs(
+                stiffness, mass, config.k, tol=config.eig_tol, seed=config.seed, t=s.t
+            )
+        except EigensolverError as exc:
+            if i in (0, last):
+                message = f"no spectrum at t={s.t:.6g}, which the checks need: {exc}"
+                raise EigensolverError(message, exc.best_residual) from exc
+            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {exc}")
+            continue
+        trace.samples[i] = replace(s, spectrum=spectrum)
 
 
 def rf_nrf_time_map(area0, chi, tau):

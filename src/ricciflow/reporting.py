@@ -59,9 +59,8 @@ def _read_csv(path):
 def read_trace_csv(path):
     header, data = _read_csv(path)
     columns = {name: data[:, j] for j, name in enumerate(header)}
-    for name in ("argmin", "argmax"):  # vertex indices; older traces lack them
-        if name in columns:
-            columns[name] = columns[name].astype(int)
+    for name in ("argmin", "argmax"):  # vertex indices
+        columns[name] = columns[name].astype(int)
     return columns
 
 

@@ -51,11 +51,6 @@ class SpectrumSnapshot:
     def k(self):
         return self.eigenvalues.shape[0]
 
-    def with_time(self, t):
-        return SpectrumSnapshot(
-            float(t), self.eigenvalues, self.eigenvectors, self.residuals, self.mass
-        )
-
 
 def assemble_operators(metric):
     """Cotangent stiffness matrix and lumped (barycentric) mass diagonal.

@@ -42,17 +42,17 @@ class BranchSet:
         return self.values.shape[0]
 
 
-def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_GAP_TOL):
+def track_branches(snapshots):
     """Connect eigenvalues across snapshots by eigenvector overlap.
 
     Consecutive snapshots are matched greedily on the overlap matrix
     ``O_ab = |phi_a(t)' M(t) phi_b(t + dt)|`` (largest entry first, ties
     broken by eigenvalue proximity then lower index). If the best remaining
-    overlap drops below ``overlap_min``, the remaining pairs fall back to
-    ascending-value matching and are flagged as crossings. Branches are
+    overlap drops below ``DEFAULT_OVERLAP_MIN``, the remaining pairs fall back
+    to ascending-value matching and are flagged as crossings. Branches are
     additionally flagged wherever the gap to a sorted neighbor is below
-    ``gap_tol`` (relative to the largest eigenvalue at that time). A single
-    snapshot gives one-sample branches in eigenvalue order.
+    ``DEFAULT_GAP_TOL`` (relative to the largest eigenvalue at that time). A
+    single snapshot gives one-sample branches in eigenvalue order.
     """
     if not snapshots:
         raise ValueError("need at least one snapshot to track branches")
@@ -76,7 +76,7 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
         snap = snapshots[j]
         inner = prev_vecs.T @ (snapshots[j - 1].mass[:, None] * snap.eigenvectors)
         assignment, crossing = _greedy_assign(
-            np.abs(inner), prev_vals, snap.eigenvalues, overlap_min
+            np.abs(inner), prev_vals, snap.eigenvalues
         )
         cols = np.array([assignment[b] for b in range(k)])
         # Keep signs continuous along each branch.
@@ -93,7 +93,7 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
         order = np.argsort(values[:, j], kind="stable")
         sorted_vals = values[order, j]
         gaps = np.diff(sorted_vals)
-        tight = gaps < gap_tol * scale
+        tight = gaps < DEFAULT_GAP_TOL * scale
         for pos in np.nonzero(tight)[0]:
             flagged[order[pos], j] = True
             flagged[order[pos + 1], j] = True
@@ -108,7 +108,7 @@ def track_branches(snapshots, overlap_min=DEFAULT_OVERLAP_MIN, gap_tol=DEFAULT_G
     )
 
 
-def _greedy_assign(overlap, prev_vals, next_vals, overlap_min):
+def _greedy_assign(overlap, prev_vals, next_vals):
     k = overlap.shape[0]
     work = overlap.copy()
     assignment = {}
@@ -133,7 +133,7 @@ def _greedy_assign(overlap, prev_vals, next_vals, overlap_min):
                     )
                     if cand < cur:
                         best, best_pair = val, (row, col)
-        if best < overlap_min:
+        if best < DEFAULT_OVERLAP_MIN:
             break
         row, col = best_pair
         assignment[row] = col
@@ -149,33 +149,21 @@ def _greedy_assign(overlap, prev_vals, next_vals, overlap_min):
     return assignment, crossing
 
 
-def branch_log_derivative(branch_set, branch, time_index, scheme="central"):
-    """Finite-difference d(log lambda)/dt along one branch.
+def branch_log_derivative(branch_set, branch, time_index):
+    """Central finite-difference d(log lambda)/dt along one branch.
 
-    The central scheme needs both neighbors and an unflagged center; the
-    one-sided scheme uses the forward neighbor (or backward at the end).
+    Needs both time neighbors, and no flag on the three-sample stencil.
     """
     times = branch_set.times
-    vals = branch_set.values[branch]
-    n_times = times.shape[0]
-    if scheme == "central":
-        if not 0 < time_index < n_times - 1:
-            raise IndexError("central scheme needs both time neighbors")
-        if branch_set.flagged[branch, time_index - 1 : time_index + 2].any():
-            raise BranchCrossingError(
-                f"branch {branch} is flagged near time index {time_index}"
-            )
-        stencil = vals[time_index - 1 : time_index + 2]
-        if np.any(stencil <= 0.0):
-            raise ValueError("log derivative needs positive branch values")
-        return float(central_difference(times[time_index - 1 : time_index + 2], np.log(stencil)))
-    if scheme == "one_sided":
-        j2 = time_index + 1 if time_index + 1 < n_times else time_index - 1
-        pair = vals[[time_index, j2]]
-        if np.any(pair <= 0.0):
-            raise ValueError("log derivative needs positive branch values")
-        return float((np.log(pair[1]) - np.log(pair[0])) / (times[j2] - times[time_index]))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if not 0 < time_index < times.shape[0] - 1:
+        raise IndexError("central scheme needs both time neighbors")
+    stencil = slice(time_index - 1, time_index + 2)
+    if branch_set.flagged[branch, stencil].any():
+        raise BranchCrossingError(f"branch {branch} is flagged near time index {time_index}")
+    vals = branch_set.values[branch, stencil]
+    if np.any(vals <= 0.0):
+        raise ValueError("log derivative needs positive branch values")
+    return float(central_difference(times[stencil], np.log(vals)))
 
 
 def evolution_formula_residual(trace, branch_set, branch, time_index):

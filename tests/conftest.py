@@ -8,6 +8,7 @@ from ricciflow import (
     normalize_area,
     perturb_metric,
     run_flow,
+    solve_snapshots,
 )
 
 from meshes import flat_torus_metric, icosphere_metric, tetrahedron_metric
@@ -52,5 +53,6 @@ def run1(octagon2):
     metric, window = perturb_metric(octagon2, 0.02, 11)
     config = FlowConfig(spectrum_every=60, k=12, seed=7)
     trace = run_flow(metric, config)
+    solve_snapshots(trace)
     assert trace.converged
     return {"metric": metric, "window": window, "trace": trace, "config": config}

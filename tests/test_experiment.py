@@ -457,6 +457,51 @@ def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):
     assert payload["error"] == "ConfigError"
 
 
+def test_cli_flow_aborts_when_step_size_below_dt_min(tmp_path, capsys):
+    # at this safety the accuracy term is ~1e-12 < dt_min: the flow aborts
+    # at once instead of running ~1e12 steps
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict(flow={"spectrum_every": 30, "k": 8, "safety": 1e-12}))
+    assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "FlowAbortError"
+
+
+_FLOW_KEYS = sorted(flow_module.FlowConfig.__dataclass_fields__)
+_MUTANTS = ["0.5", None, [0.5], {}, True, 0, 0.0, -1, -0.5,
+            float("nan"), float("inf"), float("-inf"), 1e308, 1e-300]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from(
+        [("flow", key) for key in _FLOW_KEYS]
+        + [("perturbations", key) for key in ("amplitude", "seed")]
+    ),
+    value=st.sampled_from(_MUTANTS),
+)
+def test_cli_flow_exit_contract_on_mutated_configs(tmp_path_factory, target, value):
+    # one flow or perturbation value of a level-0 config replaced by a value
+    # of the wrong type or range: the flow ends in exit 0 or 1, or in exit 2
+    # with one JSON line naming a typed error, never in a traceback
+    section, key = target
+    data = _config_dict(flow={"spectrum_every": 30, "k": 8, "seed": 3, "t_max": 0.5})
+    block = data["flow"] if section == "flow" else data["perturbations"][0]
+    block[key] = value
+    cfg = tmp_path_factory.mktemp("mutant") / "config.json"
+    _write_config(cfg, data)
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("ignore")
+        code = cli_main(["flow", "--config", str(cfg), "--quiet"])
+    lines = out.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1
+        error = getattr(errors_module, json.loads(lines[0])["error"])
+        assert issubclass(error, errors_module.RicciFlowError)
+
+
 def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):
     # perfbench/tracer.py patches the experiment layer by module attribute;
     # the counts show that a pair builds its base surface once and still
@@ -542,8 +587,11 @@ def test_pde_residual_median_reads_every_sample(monkeypatch):
     )
     metric, _ = perturb_metric(build_base_metric(config), 0.02, 11)
     trace = flow_module.run_flow(metric, config.flow)
+    flow_module.solve_snapshots(trace)
     samples = trace.samples
     assert len(trace.snapshot_samples()) == len(samples) - 1
+    assert trace.samples[3].spectrum is None
+    assert trace.warnings == [f"eigensolver failed at t={calls[3]:.6g}: injected failure"]
     active = 20.0 * samples[-1].curvature.max_deviation()
     pooled = [
         np.abs(flow_module.curvature_pde_residual(trace, j))
@@ -581,6 +629,7 @@ def _drop_columns(path, drop):
         pytest.param(lambda d: _edit_report(d, lambda r: r.pop("inputs")), id="no_inputs"),
         pytest.param(lambda d: (d / "report.json").write_text("{not json\n"), id="not_json"),
         pytest.param(lambda d: _drop_columns(d / "trace.csv", "R_max".__eq__), id="no_R_max"),
+        pytest.param(lambda d: _drop_columns(d / "trace.csv", "argmax".__eq__), id="no_argmax"),
         pytest.param(
             lambda d: _drop_columns(d / "spectrum.csv", lambda name: name.startswith("branch_")),
             id="no_branches",
@@ -612,17 +661,28 @@ def test_thread_variable_overrides_blas_settings():
     assert out.stdout.strip() == "1"
 
 
-@pytest.mark.parametrize("failing", ["start", "every"])
+@pytest.mark.parametrize("failing", ["start", "last", "every"])
 def test_missing_start_snapshot_is_typed_error(monkeypatch, tmp_path, capsys, failing):
-    # the ratio and comparison checks need the t = 0 spectrum; a later
-    # snapshot must not stand in for it
+    # the ratio and comparison checks need the spectra at t = 0 and at the
+    # end of the flow; no other snapshot may stand in for them
+    import ricciflow.experiment as exp
+
     real = flow_module.smallest_eigenpairs
+    real_run = exp.run_flow
+    last_times = set()
+
+    def run(*args, **kwargs):
+        trace = real_run(*args, **kwargs)
+        last_times.add(trace.samples[-1].t)
+        return trace
 
     def solver(stiffness, mass, k, tol, seed, t=0.0):
-        if t == 0.0 or failing == "every":
+        if {"start": t == 0.0, "last": t in last_times, "every": True}[failing]:
             raise EigensolverError("injected failure")
         return real(stiffness, mass, k, tol, seed, t=t)
 
+    # the pair's forked workers inherit both patches
+    monkeypatch.setattr(exp, "run_flow", run)
     monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
     with pytest.raises(EigensolverError):
         run_flow_experiment(ExperimentConfig.from_dict(_config_dict()))

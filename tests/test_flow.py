@@ -16,6 +16,7 @@ from ricciflow import (
     perturb_metric,
     rf_nrf_time_map,
     run_flow,
+    solve_snapshots,
     step,
 )
 from ricciflow.flow import _Workspace
@@ -162,17 +163,60 @@ def test_run_flow_warn_mode_flat_torus(torus16_metric):
 
 
 def test_run_flow_abort_on_dt_underflow(octagon0, monkeypatch):
-    # disable the stability cap so the oversized first step gets rejected
-    # with no room left to shrink
+    # near the limit the accuracy term admits the oversized first step; with
+    # the stability cap disabled that step is rejected, and its half leaves
+    # no room above dt_min
     import ricciflow.flow as flow_mod
 
-    monkeypatch.setattr(flow_mod, "_stability_cap", lambda metric, seed: np.inf)
     metric, _ = perturb_metric(octagon0, 0.02, 13)
-    config = FlowConfig(dt_init=64.0, dt_min=60.0, safety=0.99, spectrum_every=10, k=4)
+    start = run_flow(metric, FlowConfig(spectrum_every=100, k=6, seed=1)).limit
+    monkeypatch.setattr(flow_mod, "_stability_cap", lambda metric, seed: np.inf)
+    config = FlowConfig(
+        dt_init=64.0, dt_min=60.0, safety=0.99, convergence_tol=1e-6, t_max=100.0,
+        spectrum_every=10, k=4,
+    )
     with pytest.raises(FlowAbortError) as info:
-        run_flow(metric, config)
+        run_flow(start, config)
+    assert (info.value.t, info.value.dt) == (0.0, 32.0)
     assert info.value.trace is not None
     assert info.value.trace.converged is False
+
+
+def test_run_flow_abort_when_step_size_below_dt_min(octagon0, monkeypatch):
+    # dt_min bounds every step, not only rejected ones: at this safety the
+    # accuracy term is ~1e-12, and the flow would need ~1e12 steps. The
+    # aborted trace keeps its samples, the last accepted step included, and
+    # the abort path solves no eigenproblem.
+    import ricciflow.flow as flow_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the abort path must not solve an eigenproblem")
+
+    metric, _ = perturb_metric(octagon0, 0.02, 13)
+    monkeypatch.setattr(flow_mod, "smallest_eigenpairs", no_solve)
+    with pytest.raises(FlowAbortError) as info:
+        run_flow(metric, FlowConfig(safety=1e-12, spectrum_every=10, k=4))
+    assert info.value.t == 0.0 and info.value.dt < 1e-9
+    assert [s.step for s in info.value.trace.samples] == [0]
+    assert info.value.trace.samples[0].spectrum is None
+
+
+def test_run_flow_solves_no_eigenproblem(octagon0, monkeypatch):
+    import ricciflow.flow as flow_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run_flow must not solve an eigenproblem")
+
+    metric, _ = perturb_metric(octagon0, 0.02, 13)
+    config = FlowConfig(spectrum_every=100, k=6, seed=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(flow_mod, "smallest_eigenpairs", no_solve)
+        trace = run_flow(metric, config)
+    assert trace.converged and len(trace.samples) > 2
+    assert all(s.spectrum is None for s in trace.samples) and trace.snapshots() == []
+    solve_snapshots(trace)
+    assert [s.spectrum.t for s in trace.samples] == [s.t for s in trace.samples]
+    assert trace.snapshot_samples() == trace.samples and not trace.warnings
 
 
 def test_run_flow_step_size_rule(octagon0, monkeypatch):
