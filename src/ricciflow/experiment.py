@@ -1,16 +1,16 @@
 """Experiment orchestration: configs, pipelines, and artifact emission.
 
 A flow experiment builds a surface (generated or loaded), normalizes its
-area, perturbs it, runs the flow, tracks the spectrum, and evaluates every
-applicable bound check. The pair experiment builds the base surface once,
-runs this for two perturbations of it in two worker processes, and adds the
-two-surface comparison checks, including the end-to-end spectral comparison
-with the measured distortion bound of the two limits.
+area, perturbs it, runs the flow while a spectrum worker process solves each
+stored sample, tracks the spectrum, and evaluates every applicable bound
+check. The pair experiment builds the base surface once, runs this for two
+perturbations of it in two worker processes, and adds the two-surface
+comparison checks, including the end-to-end spectral comparison with the
+measured distortion bound of the two limits.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import ConfigError, FlowAbortError, HypothesisError
-from .flow import FlowConfig, integer_at_least, monotonicity_violations, real_number
-from .flow import run_flow, solve_snapshots
+from .flow import FlowConfig, SpectrumWorker, fork_context, integer_at_least, real_number
+from .flow import monotonicity_violations, run_flow, solve_snapshots
 from .geometry import ConformalMetric, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
 from .reporting import (
@@ -133,7 +133,7 @@ def _fields(data):
     specs = []
     for entry in data.get("perturbations", [{}]):
         json_object(entry, "perturbations", {"amplitude", "seed"})
-        amplitude = _finite(entry.get("amplitude", 0.0), "perturbation amplitude")
+        amplitude = float(real_number(entry.get("amplitude", 0.0), "perturbation amplitude"))
         seed = integer_at_least(entry.get("seed", 0), 0, "perturbation seed")
         specs.append(PerturbationSpec(amplitude, seed))
 
@@ -155,8 +155,10 @@ def _fields(data):
         "emit_spectrum_csv": _flag(emit, "spectrum_csv", True),
         "emit_report_json": _flag(emit, "report_json", True),
         "emit_plot_data": _flag(emit, "plot_data", False),
-        "c_disc": _finite(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc"),
-        "tol_ratio": _finite(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio"),
+        "c_disc": float(real_number(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc")),
+        "tol_ratio": float(
+            real_number(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio")
+        ),
     }
 
 
@@ -164,14 +166,6 @@ def _flag(emit, key, default):
     value = emit.get(key, default)
     if not isinstance(value, bool):
         raise ConfigError(f"emit '{key}' must be true or false, got {value!r}")
-    return value
-
-
-def _finite(value, name):
-    # json.load accepts NaN and Infinity, so parsed numbers need this check
-    value = float(real_number(value, name))
-    if not np.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
     return value
 
 
@@ -217,8 +211,9 @@ def build_base_metric(config):
 
 def _run_one_surface(config, base, spec, progress=None):
     metric, window = perturb_metric(base, spec.amplitude, spec.seed)
-    trace = run_flow(metric, config.flow, progress=progress)
-    solve_snapshots(trace)
+    with SpectrumWorker(metric.mesh, metric.base_lengths, config.flow) as worker:
+        trace = run_flow(metric, config.flow, progress=progress, on_sample=worker.submit)
+        solve_snapshots(trace, worker)
     return metric, window, trace, track_branches(trace.snapshots())
 
 
@@ -304,19 +299,16 @@ def run_pair_experiment(config):
 
     Both perturbations start from one base surface. The two flows run in
     two worker processes, so they do not contend for the GIL; each worker
-    runs exactly the in-process pipeline and pickles its result back, which
-    is rejoined to the base surface's mesh here. The measured curvature
-    windows are merged (widest wins), and the comparison checks use the
-    distortion upper bound of the two limit metrics.
+    runs exactly the in-process pipeline, its own spectrum worker included,
+    and pickles its result back, which is rejoined to the base surface's
+    mesh here. The measured curvature windows are merged (widest wins), and
+    the comparison checks use the distortion upper bound of the two limit
+    metrics.
     """
     if len(config.perturbations) != 2:
         raise ConfigError("pair experiment needs exactly two perturbation specs")
     base = build_base_metric(config)
-    # forked workers inherit the loaded modules (and any patches of them);
-    # forkserver and spawn would re-import numpy and scipy in every worker
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if fork else None)
-    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+    with ProcessPoolExecutor(max_workers=2, mp_context=fork_context()) as pool:
         futures = [pool.submit(_run_in_worker, config, base, spec) for spec in config.perturbations]
         results, died = [], []
         for i, future in enumerate(futures, start=1):

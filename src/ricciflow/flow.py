@@ -8,12 +8,17 @@ adaptive: one ``min`` of an accuracy-based candidate ``safety / max|R - r|``,
 a 2x growth factor, ``dt_init``, a linear-stability estimate of the stiffest
 curvature mode and the time left to ``t_max``; steps that break a triangle
 inequality are rejected and retried at half size, and a step size below
-``dt_min`` aborts the run. ``run_flow`` stores full states without spectra;
-``solve_snapshots`` solves them afterwards.
+``dt_min`` aborts the run. ``run_flow`` stores full states without spectra
+and hands each one, as it is stored, to ``on_sample``. Every spectrum along a
+flow is solved in a ``SpectrumWorker``, one forked process per flow that
+solves the stored samples while the flow keeps integrating;
+``solve_snapshots`` collects its results in time order.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
 import warnings as _warnings
 from dataclasses import dataclass, field as _field, replace
 
@@ -26,6 +31,9 @@ from .spectrum import assemble_operators, operator_norm_estimate, smallest_eigen
 RK4_STABILITY = 2.785  # extent of the classical RK4 stability interval
 CFL_SAFETY = 0.85
 NORM_RECHECK_STEPS = 500  # stiffness estimate refresh cadence
+# How long a spectrum worker may take to exit once its pipe is closed (it
+# finishes the solve in hand first) before it is terminated.
+WORKER_JOIN_TIMEOUT_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class FlowConfig:
         if not 0.0 < self.safety < 1.0:
             raise ValueError("safety must lie in (0, 1)")
         for name in positive:
-            if not getattr(self, name) > 0.0:  # NaN fails too
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         integer_at_least(self.spectrum_every, 1, "spectrum_every")
         integer_at_least(self.k, 1, "k")
@@ -59,9 +67,14 @@ class FlowConfig:
 
 
 def real_number(value, name):
+    """``value`` unchanged if it is a finite real number, else ValueError."""
     # float() would read JSON true as 1.0 and a numeric string as its number
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    # json.load accepts NaN, Infinity and integer literals too large for a
+    # float; the comparison rejects all three (NaN compares false)
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -215,7 +228,7 @@ def _stability_cap(metric_like, seed):
     return CFL_SAFETY * RK4_STABILITY / lam_max
 
 
-def run_flow(metric, config, allow_indefinite=False, progress=None):
+def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=None):
     """Integrate the normalized flow until constant curvature or ``t_max``.
 
     Parameters
@@ -229,6 +242,9 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
         warning instead of an error.
     progress : callable, optional
         Called as ``progress(t, max_dev, dt)`` every few thousand steps.
+    on_sample : callable, optional
+        Called with each ``FlowSample`` as it is stored, in time order, so a
+        ``SpectrumWorker.submit`` can solve it while the flow goes on.
 
     Returns
     -------
@@ -275,6 +291,8 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
 
     def sample(step_idx, t, u, f):
         trace.samples.append(FlowSample(step_idx, t, u.copy(), f, None))
+        if on_sample is not None:
+            on_sample(trace.samples[-1])
 
     def finish():
         # the last accepted step is always sampled; the steps become arrays
@@ -331,30 +349,130 @@ def run_flow(metric, config, allow_indefinite=False, progress=None):
     return finish()
 
 
-def solve_snapshots(trace):
+def solve_snapshots(trace, worker=None):
     """Fill in the spectrum of every stored sample of ``trace``, in time order.
+
+    ``worker`` is the ``SpectrumWorker`` that every sample of ``trace`` was
+    submitted to as the flow stored it (``run_flow``'s ``on_sample``); without
+    one, a worker is started here and given every sample.
 
     This is the one place that decides what a failed eigensolve means. At an
     interior sample it records a warning and leaves the spectrum None. The
     first and the last samples are the spectra at the start and at the end of
     the flow, which the ratio and comparison checks read and no other sample
     may stand in for, so a failure there raises :class:`EigensolverError`.
+    Any other exception a solve raised is raised again here.
     """
-    config = trace.config
+    if worker is None:
+        with SpectrumWorker(trace.mesh, trace.base_lengths, trace.config) as worker:
+            for s in trace.samples:
+                worker.submit(s)
+            return solve_snapshots(trace, worker)
     last = len(trace.samples) - 1
-    for i, s in enumerate(trace.samples):
-        try:
-            stiffness, mass = assemble_operators(trace.metric_at(i))
-            spectrum = smallest_eigenpairs(
-                stiffness, mass, config.k, tol=config.eig_tol, seed=config.seed, t=s.t
-            )
-        except EigensolverError as exc:
+    for i, (s, result) in enumerate(zip(trace.samples, worker.results(), strict=True)):
+        if isinstance(result, EigensolverError):
             if i in (0, last):
-                message = f"no spectrum at t={s.t:.6g}, which the checks need: {exc}"
-                raise EigensolverError(message, exc.best_residual) from exc
-            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {exc}")
-            continue
-        trace.samples[i] = replace(s, spectrum=spectrum)
+                message = f"no spectrum at t={s.t:.6g}, which the checks need: {result}"
+                raise EigensolverError(message, result.best_residual) from result
+            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {result}")
+        elif isinstance(result, Exception):
+            raise result
+        else:
+            trace.samples[i] = replace(s, spectrum=result)
+
+
+def fork_context():
+    """The ``fork`` start method where the platform offers it, else the default.
+
+    Forked workers inherit the loaded modules (and any patches of them);
+    forkserver and spawn would re-import numpy and scipy in every worker.
+    """
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if fork else None)
+
+
+class SpectrumWorker:
+    """One worker process that solves the spectra of one flow's samples.
+
+    A context manager: entering starts the process, leaving closes the pipe
+    and joins it (terminating it after ``WORKER_JOIN_TIMEOUT_S``), on every
+    path. ``submit`` sends a sample's ``(t, u)`` and returns at once, so the
+    flow keeps integrating while the worker solves. ``results`` sends the end
+    marker and returns one entry per submitted sample, in order: its
+    ``SpectrumSnapshot``, or the exception its solve raised. The worker calls
+    this module's ``assemble_operators`` and ``smallest_eigenpairs`` on the
+    inputs an in-process solve would use, so the spectra are the same bits.
+    If the process dies, ``submit`` and ``results`` raise FlowAbortError.
+    """
+
+    def __init__(self, mesh, base_lengths, config):
+        self._args = (mesh, base_lengths, config)
+        self._submitted = 0
+
+    def __enter__(self):
+        context = fork_context()
+        self._conn, child_end = context.Pipe()
+        # daemon: should __exit__ itself be interrupted, the interpreter's
+        # exit terminates the worker instead of waiting on it
+        self._process = context.Process(
+            target=_solve_samples, args=(child_end, self._conn, *self._args), daemon=True
+        )
+        try:
+            self._process.start()
+        except BaseException:
+            self._conn.close()
+            raise
+        finally:
+            child_end.close()  # else the worker's death would never end recv() here
+        return self
+
+    def __exit__(self, *exc_info):
+        self._conn.close()  # a worker still waiting for samples reads EOF and exits
+        self._process.join(WORKER_JOIN_TIMEOUT_S)
+        if self._process.is_alive():
+            self._process.terminate()
+            self._process.join()
+
+    def submit(self, sample):
+        try:
+            self._conn.send((sample.t, sample.u))
+        except OSError as exc:
+            raise self._died() from exc
+        self._submitted += 1
+
+    def results(self):
+        try:
+            self._conn.send(None)
+            return [self._conn.recv() for _ in range(self._submitted)]
+        except (EOFError, OSError) as exc:
+            raise self._died() from exc
+
+    def _died(self):
+        self._process.join(WORKER_JOIN_TIMEOUT_S)
+        return FlowAbortError(
+            f"the spectrum worker process ended abruptly (exit code {self._process.exitcode})"
+        )
+
+
+def _solve_samples(conn, parent_end, mesh, base_lengths, config):
+    """Body of a ``SpectrumWorker``: solve each ``(t, u)`` received until the
+    end marker, then send the results back one message each (a single list
+    would be one pickle the size of every eigenvector of the flow)."""
+    parent_end.close()  # else a dead parent would never end recv() here
+    results = []
+    try:
+        for t, u in iter(conn.recv, None):
+            try:
+                stiffness, mass = assemble_operators(ConformalMetric(mesh, base_lengths, u))
+                results.append(smallest_eigenpairs(
+                    stiffness, mass, config.k, tol=config.eig_tol, seed=config.seed, t=t
+                ))
+            except Exception as exc:  # solve_snapshots decides what it means
+                results.append(exc)
+        for result in results:
+            conn.send(result)
+    except (EOFError, OSError):
+        pass  # the parent left without asking for the results
 
 
 def rf_nrf_time_map(area0, chi, tau):

@@ -194,6 +194,93 @@ def test_dead_pair_worker_is_typed_error(monkeypatch, tmp_path, capsys):
     assert "surface" in payload["message"]
 
 
+def _run_python(code, *args, timeout=120):
+    """``python -c code args`` with this checkout's ricciflow; a hang fails
+    the calling test by ``timeout`` instead of stalling the suite."""
+    import ricciflow
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ricciflow.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def test_dead_spectrum_worker_is_typed_error(tmp_path):
+    # a spectrum worker that dies mid-flow must end the CLI with one JSON line
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict())
+    done = _run_python(
+        "import os, sys\n"
+        "from ricciflow import flow\n"
+        "flow.smallest_eigenpairs = lambda *args, **kwargs: os._exit(3)\n"
+        "from ricciflow.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        "flow", "--config", cfg, "--quiet",
+    )
+    assert done.returncode == 2, done.stderr
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "FlowAbortError"
+    assert "spectrum worker" in payload["message"]
+    assert "Traceback" not in done.stderr
+
+
+_WORKER_LIFECYCLE = """
+import json, multiprocessing, os, sys
+from ricciflow import EigensolverError, FlowAbortError, flow
+from ricciflow.experiment import ExperimentConfig, build_base_metric, run_flow_experiment
+from ricciflow.geometry import perturb_metric
+
+case = sys.argv[1]
+config = ExperimentConfig.from_dict(json.loads(sys.argv[2]))
+last_t = None
+if case in ("last", "dead"):
+    spec = config.perturbations[0]
+    metric, _ = perturb_metric(build_base_metric(config), spec.amplitude, spec.seed)
+    last_t = flow.run_flow(metric, config.flow).samples[-1].t
+real = flow.smallest_eigenpairs
+
+def solver(stiffness, mass, k, tol, seed, t=0.0):
+    if case == "dead" and t == last_t:
+        os._exit(3)
+    if (case, t) in (("first", 0.0), ("last", last_t)):
+        raise EigensolverError("injected failure")
+    return real(stiffness, mass, k, tol, seed, t=t)
+
+flow.smallest_eigenpairs = solver
+try:
+    run_flow_experiment(config)
+    outcome = "ok"
+except (EigensolverError, FlowAbortError) as exc:
+    outcome = f"{type(exc).__name__}: {exc}"
+print(json.dumps([outcome, len(multiprocessing.active_children())]))
+"""
+
+
+@pytest.mark.parametrize(
+    "case, flow, outcome",
+    [
+        ("normal", {}, "ok"),
+        ("abort", {"safety": 1e-12}, "FlowAbortError: step size underflow"),
+        ("first", {}, "EigensolverError: no spectrum at t=0,"),
+        ("last", {}, "EigensolverError: no spectrum at t="),
+        ("dead", {}, "FlowAbortError: the spectrum worker process ended abruptly"),
+    ],
+)
+def test_spectrum_worker_leaves_no_process(case, flow, outcome):
+    # on every way out of a flow experiment its spectrum worker is joined,
+    # and the interpreter exits at once
+    data = _config_dict(flow={"spectrum_every": 30, "k": 8, "seed": 3, **flow})
+    done = _run_python(_WORKER_LIFECYCLE, case, json.dumps(data))
+    assert done.returncode == 0, done.stderr
+    found, children = json.loads(done.stdout)
+    assert found.startswith(outcome), found
+    assert children == 0
+    assert "Traceback" not in done.stderr
+
+
 def _round_trip(obj):
     return pickle.loads(pickle.dumps(obj))
 
@@ -445,6 +532,8 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
         pytest.param(_config_dict(perturbations=[{"amplitude": True}]), [], id="amplitude_bool"),
         pytest.param(_config_dict(flow={"dt_init": True}), [], id="dt_init_bool"),
         pytest.param(_config_dict(flow={"t_max": True}), [], id="t_max_bool"),
+        pytest.param(_config_dict(flow={"t_max": float("inf")}), [], id="t_max_infinity"),
+        pytest.param(_config_dict(checks={"c_disc": 10**400}), [], id="c_disc_huge_int"),
         pytest.param(_config_dict(mesh={"off": 5}), [], id="off_int"),
     ],
 )
@@ -572,26 +661,28 @@ def test_pde_residual_median_reads_every_sample(monkeypatch):
     # a failed mid-run eigensolve leaves a sample without a spectrum; the
     # curvature-law residual needs none, so the gate and the residual must
     # both read trace.samples
-    real = flow_module.smallest_eigenpairs
-    calls = []
-
-    def solver(stiffness, mass, k, tol, seed, t=0.0):
-        calls.append(t)
-        if len(calls) == 4:
-            raise EigensolverError("injected failure")
-        return real(stiffness, mass, k, tol, seed, t=t)
-
-    monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
     config = ExperimentConfig.from_dict(
         _config_dict(mesh={"generator": "genus2", "level": 1}, flow={"spectrum_every": 10})
     )
     metric, _ = perturb_metric(build_base_metric(config), 0.02, 11)
+    # the solver runs in a forked spectrum worker, whose state never reaches
+    # this process, so it picks the failing sample by its time, taken from a
+    # dry run of the deterministic flow
+    failing_t = flow_module.run_flow(metric, config.flow).samples[3].t
+    real = flow_module.smallest_eigenpairs
+
+    def solver(stiffness, mass, k, tol, seed, t=0.0):
+        if t == failing_t:
+            raise EigensolverError("injected failure")
+        return real(stiffness, mass, k, tol, seed, t=t)
+
+    monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
     trace = flow_module.run_flow(metric, config.flow)
     flow_module.solve_snapshots(trace)
     samples = trace.samples
     assert len(trace.snapshot_samples()) == len(samples) - 1
     assert trace.samples[3].spectrum is None
-    assert trace.warnings == [f"eigensolver failed at t={calls[3]:.6g}: injected failure"]
+    assert trace.warnings == [f"eigensolver failed at t={failing_t:.6g}: injected failure"]
     active = 20.0 * samples[-1].curvature.max_deviation()
     pooled = [
         np.abs(flow_module.curvature_pde_residual(trace, j))
@@ -665,31 +756,32 @@ def test_thread_variable_overrides_blas_settings():
 def test_missing_start_snapshot_is_typed_error(monkeypatch, tmp_path, capsys, failing):
     # the ratio and comparison checks need the spectra at t = 0 and at the
     # end of the flow; no other snapshot may stand in for them
-    import ricciflow.experiment as exp
-
+    single = ExperimentConfig.from_dict(_config_dict())
+    pair = ExperimentConfig.from_dict(_config_dict(
+        perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}]
+    ))
+    # the solver runs in forked spectrum workers, which see nothing this
+    # process learns after the fork, so the last samples' times come from a
+    # dry run of the deterministic flows
+    base = build_base_metric(single)
+    last_times = {
+        flow_module.run_flow(perturb_metric(base, s.amplitude, s.seed)[0], single.flow)
+        .samples[-1].t
+        for s in single.perturbations + pair.perturbations
+    }
     real = flow_module.smallest_eigenpairs
-    real_run = exp.run_flow
-    last_times = set()
-
-    def run(*args, **kwargs):
-        trace = real_run(*args, **kwargs)
-        last_times.add(trace.samples[-1].t)
-        return trace
 
     def solver(stiffness, mass, k, tol, seed, t=0.0):
         if {"start": t == 0.0, "last": t in last_times, "every": True}[failing]:
             raise EigensolverError("injected failure")
         return real(stiffness, mass, k, tol, seed, t=t)
 
-    # the pair's forked workers inherit both patches
-    monkeypatch.setattr(exp, "run_flow", run)
+    # the spectrum workers, the pair's included, inherit the patch
     monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
     with pytest.raises(EigensolverError):
-        run_flow_experiment(ExperimentConfig.from_dict(_config_dict()))
-    pair = _config_dict(perturbations=[{"amplitude": 0.02, "seed": 5},
-                                       {"amplitude": -0.02, "seed": 5}])
+        run_flow_experiment(single)
     with pytest.raises(EigensolverError):
-        run_pair_experiment(ExperimentConfig.from_dict(pair))
+        run_pair_experiment(pair)
     cfg = tmp_path / "config.json"
     _write_config(cfg, _config_dict())
     assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2

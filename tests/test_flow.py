@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ricciflow import (
     FlowAbortError,
     FlowConfig,
     RicciFlowError,
+    SpectrumWorker,
     TriangleInequalityError,
     assemble_operators,
     curvature_pde_residual,
@@ -16,6 +19,7 @@ from ricciflow import (
     perturb_metric,
     rf_nrf_time_map,
     run_flow,
+    smallest_eigenpairs,
     solve_snapshots,
     step,
 )
@@ -219,6 +223,30 @@ def test_run_flow_solves_no_eigenproblem(octagon0, monkeypatch):
     assert trace.snapshot_samples() == trace.samples and not trace.warnings
 
 
+def test_worker_spectra_match_in_process_solves(octagon1):
+    # every spectrum along a flow is solved in a SpectrumWorker, with samples
+    # streamed in as the flow stores them or sent after it; either way each
+    # one is the in-process solve of the same sample, bit for bit
+    metric, _ = perturb_metric(octagon1, 0.02, 13)
+    config = FlowConfig(spectrum_every=10, k=8, seed=1)
+    with SpectrumWorker(metric.mesh, metric.base_lengths, config) as worker:
+        streamed = run_flow(metric, config, on_sample=worker.submit)
+        solve_snapshots(streamed, worker)
+    afterwards = run_flow(metric, config)
+    solve_snapshots(afterwards)
+    assert not multiprocessing.active_children()
+    for trace in (streamed, afterwards):
+        assert len(trace.samples) > 3 and not trace.warnings
+        for i, s in enumerate(trace.samples):
+            want = smallest_eigenpairs(
+                *assemble_operators(trace.metric_at(i)),
+                config.k, tol=config.eig_tol, seed=config.seed, t=s.t,
+            )
+            assert s.spectrum.t == want.t == s.t
+            for field in ("eigenvalues", "eigenvectors", "residuals", "mass"):
+                assert np.array_equal(getattr(s.spectrum, field), getattr(want, field)), field
+
+
 def test_run_flow_step_size_rule(octagon0, monkeypatch):
     # a constant stability cap that binds on most steps of a level-0 run with
     # no rejections: the accuracy candidate binds before it, t_max after it
@@ -372,3 +400,7 @@ def test_flow_config_validation():
         FlowConfig(spectrum_every=0)
     with pytest.raises(ValueError):
         FlowConfig(t_max=float("nan"))
+    # json.load reads Infinity; a run with t_max = inf that cannot converge never ends
+    for name in ("t_max", "dt_init", "convergence_tol", "eig_tol"):
+        with pytest.raises(ValueError, match="finite"):
+            FlowConfig(**{name: float("inf")})
