@@ -51,7 +51,6 @@ from .flow import (
     FlowConfig,
     FlowSample,
     FlowTrace,
-    SpectrumWorker,
     curvature_pde_residual,
     monotonicity_violations,
     nrf_velocity,
@@ -114,7 +113,6 @@ __all__ = [
     "step",
     "run_flow",
     "solve_snapshots",
-    "SpectrumWorker",
     "rf_nrf_time_map",
     "curvature_pde_residual",
     "monotonicity_violations",

@@ -87,10 +87,16 @@ def _say_checks(args, checks):
 
 
 def _cmd_gen(args):
+    from .errors import ConfigError
+    from .flow import integer_at_least
     from .geometry import ConformalMetric, measure_curvature
     from .mesh import generate_genus2
     from .reporting import write_report_json
 
+    try:
+        integer_at_least(args.level, 0, "level")
+    except ValueError as exc:
+        raise ConfigError(f"invalid --level: {exc}") from exc
     mesh, base_lengths = generate_genus2(args.level)
     metric = ConformalMetric.flat(mesh, base_lengths)
     fld = measure_curvature(metric)
@@ -187,6 +193,8 @@ def _cmd_timemap(args):
         raise HypothesisError("timemap requires negative Euler characteristic")
     try:
         taus = [float(x) for x in args.tau.split(",") if x.strip()]
+        if not taus:
+            raise ValueError("no tau values given")
         # OverflowError: a chi beyond the float range
         t, area = rf_nrf_time_map(args.area0, args.chi, taus)
     except (ValueError, OverflowError) as exc:

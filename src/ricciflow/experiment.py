@@ -1,12 +1,12 @@
 """Experiment orchestration: configs, pipelines, and artifact emission.
 
 A flow experiment builds a surface (generated or loaded), normalizes its
-area, perturbs it, runs the flow while a spectrum worker process solves each
-stored sample, tracks the spectrum, and evaluates every applicable bound
-check. The pair experiment builds the base surface once, runs this for two
-perturbations of it in two worker processes, and adds the two-surface
-comparison checks, including the end-to-end spectral comparison with the
-measured distortion bound of the two limits.
+area, perturbs it, runs the flow while a one-worker spectrum process pool
+solves each stored sample, tracks the spectrum, and evaluates every
+applicable bound check. The pair experiment builds the base surface once,
+runs this for two perturbations of it in two worker processes, and adds the
+two-surface comparison checks, including the end-to-end spectral comparison
+with the measured distortion bound of the two limits.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import ConfigError, FlowAbortError, HypothesisError
-from .flow import FlowConfig, SpectrumWorker, fork_context, integer_at_least, real_number
-from .flow import monotonicity_violations, run_flow, solve_snapshots
+from .flow import FlowConfig, fork_context, integer_at_least, monotonicity_violations, real_number
+from .flow import run_flow, solve_sample, solve_snapshots, spectrum_pool
 from .geometry import ConformalMetric, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
 from .reporting import (
@@ -211,9 +211,13 @@ def build_base_metric(config):
 
 def _run_one_surface(config, base, spec, progress=None):
     metric, window = perturb_metric(base, spec.amplitude, spec.seed)
-    with SpectrumWorker(metric.mesh, metric.base_lengths, config.flow) as worker:
-        trace = run_flow(metric, config.flow, progress=progress, on_sample=worker.submit)
-        solve_snapshots(trace, worker)
+    with spectrum_pool(metric.mesh, metric.base_lengths, config.flow) as pool:
+        solves = []
+        trace = run_flow(
+            metric, config.flow, progress=progress,
+            on_sample=lambda s: solves.append(pool.submit(solve_sample, s.t, s.u)),
+        )
+        solve_snapshots(trace, solves)
     return metric, window, trace, track_branches(trace.snapshots())
 
 
@@ -299,7 +303,7 @@ def run_pair_experiment(config):
 
     Both perturbations start from one base surface. The two flows run in
     two worker processes, so they do not contend for the GIL; each worker
-    runs exactly the in-process pipeline, its own spectrum worker included,
+    runs exactly the in-process pipeline, its own spectrum pool included,
     and pickles its result back, which is rejoined to the base surface's
     mesh here. The measured curvature windows are merged (widest wins), and
     the comparison checks use the distortion upper bound of the two limit

@@ -10,8 +10,8 @@ curvature mode and the time left to ``t_max``; steps that break a triangle
 inequality are rejected and retried at half size, and a step size below
 ``dt_min`` aborts the run. ``run_flow`` stores full states without spectra
 and hands each one, as it is stored, to ``on_sample``. Every spectrum along a
-flow is solved in a ``SpectrumWorker``, one forked process per flow that
-solves the stored samples while the flow keeps integrating;
+flow is solved in a ``spectrum_pool``, a one-worker process pool forked per
+flow that solves the stored samples while the flow keeps integrating;
 ``solve_snapshots`` collects its results in time order.
 """
 
@@ -20,6 +20,9 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import warnings as _warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field as _field, replace
 
 import numpy as np
@@ -31,9 +34,6 @@ from .spectrum import assemble_operators, operator_norm_estimate, smallest_eigen
 RK4_STABILITY = 2.785  # extent of the classical RK4 stability interval
 CFL_SAFETY = 0.85
 NORM_RECHECK_STEPS = 500  # stiffness estimate refresh cadence
-# How long a spectrum worker may take to exit once its pipe is closed (it
-# finishes the solve in hand first) before it is terminated.
-WORKER_JOIN_TIMEOUT_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=No
         Called as ``progress(t, max_dev, dt)`` every few thousand steps.
     on_sample : callable, optional
         Called with each ``FlowSample`` as it is stored, in time order, so a
-        ``SpectrumWorker.submit`` can solve it while the flow goes on.
+        ``spectrum_pool`` can solve it while the flow goes on.
 
     Returns
     -------
@@ -349,12 +349,13 @@ def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=No
     return finish()
 
 
-def solve_snapshots(trace, worker=None):
+def solve_snapshots(trace, solves=None):
     """Fill in the spectrum of every stored sample of ``trace``, in time order.
 
-    ``worker`` is the ``SpectrumWorker`` that every sample of ``trace`` was
-    submitted to as the flow stored it (``run_flow``'s ``on_sample``); without
-    one, a worker is started here and given every sample.
+    ``solves`` holds one future per sample of ``trace``, in time order: the
+    ``submit(solve_sample, t, u)`` of a ``spectrum_pool`` as the flow stored
+    the sample (``run_flow``'s ``on_sample``). Call this inside that pool's
+    ``with``. Without ``solves``, a pool is opened here and given every sample.
 
     This is the one place that decides what a failed eigensolve means. At an
     interior sample it records a warning and leaves the spectrum None. The
@@ -363,22 +364,21 @@ def solve_snapshots(trace, worker=None):
     may stand in for, so a failure there raises :class:`EigensolverError`.
     Any other exception a solve raised is raised again here.
     """
-    if worker is None:
-        with SpectrumWorker(trace.mesh, trace.base_lengths, trace.config) as worker:
-            for s in trace.samples:
-                worker.submit(s)
-            return solve_snapshots(trace, worker)
+    if solves is None:
+        with spectrum_pool(trace.mesh, trace.base_lengths, trace.config) as pool:
+            solves = [pool.submit(solve_sample, s.t, s.u) for s in trace.samples]
+            return solve_snapshots(trace, solves)
     last = len(trace.samples) - 1
-    for i, (s, result) in enumerate(zip(trace.samples, worker.results(), strict=True)):
-        if isinstance(result, EigensolverError):
+    for i, (s, solve) in enumerate(zip(trace.samples, solves, strict=True)):
+        try:
+            spectrum = solve.result()
+        except EigensolverError as exc:
             if i in (0, last):
-                message = f"no spectrum at t={s.t:.6g}, which the checks need: {result}"
-                raise EigensolverError(message, result.best_residual) from result
-            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {result}")
-        elif isinstance(result, Exception):
-            raise result
+                message = f"no spectrum at t={s.t:.6g}, which the checks need: {exc}"
+                raise EigensolverError(message, exc.best_residual) from exc
+            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {exc}")
         else:
-            trace.samples[i] = replace(s, spectrum=result)
+            trace.samples[i] = replace(s, spectrum=spectrum)
 
 
 def fork_context():
@@ -391,88 +391,45 @@ def fork_context():
     return multiprocessing.get_context("fork" if fork else None)
 
 
-class SpectrumWorker:
-    """One worker process that solves the spectra of one flow's samples.
+@contextmanager
+def spectrum_pool(mesh, base_lengths, config):
+    """A one-worker process pool that solves the spectra of one flow's samples.
 
-    A context manager: entering starts the process, leaving closes the pipe
-    and joins it (terminating it after ``WORKER_JOIN_TIMEOUT_S``), on every
-    path. ``submit`` sends a sample's ``(t, u)`` and returns at once, so the
-    flow keeps integrating while the worker solves. ``results`` sends the end
-    marker and returns one entry per submitted sample, in order: its
-    ``SpectrumSnapshot``, or the exception its solve raised. The worker calls
-    this module's ``assemble_operators`` and ``smallest_eigenpairs`` on the
-    inputs an in-process solve would use, so the spectra are the same bits.
-    If the process dies, ``submit`` and ``results`` raise FlowAbortError.
+    ``pool.submit(solve_sample, t, u)`` returns at once, so the flow keeps
+    integrating while the worker solves. Forking hands the worker the mesh
+    once, through the initializer, and each submit pickles only ``(t, u)``.
+    The worker calls this module's ``assemble_operators`` and
+    ``smallest_eigenpairs`` on the inputs an in-process solve would use, so
+    the spectra are the same bits. Leaving the pool cancels the solves not
+    yet started and joins the worker, on every path. A worker that dies,
+    seen by a ``submit`` or a ``result()`` inside the ``with``, raises
+    FlowAbortError.
     """
-
-    def __init__(self, mesh, base_lengths, config):
-        self._args = (mesh, base_lengths, config)
-        self._submitted = 0
-
-    def __enter__(self):
-        context = fork_context()
-        self._conn, child_end = context.Pipe()
-        # daemon: should __exit__ itself be interrupted, the interpreter's
-        # exit terminates the worker instead of waiting on it
-        self._process = context.Process(
-            target=_solve_samples, args=(child_end, self._conn, *self._args), daemon=True
-        )
-        try:
-            self._process.start()
-        except BaseException:
-            self._conn.close()
-            raise
-        finally:
-            child_end.close()  # else the worker's death would never end recv() here
-        return self
-
-    def __exit__(self, *exc_info):
-        self._conn.close()  # a worker still waiting for samples reads EOF and exits
-        self._process.join(WORKER_JOIN_TIMEOUT_S)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join()
-
-    def submit(self, sample):
-        try:
-            self._conn.send((sample.t, sample.u))
-        except OSError as exc:
-            raise self._died() from exc
-        self._submitted += 1
-
-    def results(self):
-        try:
-            self._conn.send(None)
-            return [self._conn.recv() for _ in range(self._submitted)]
-        except (EOFError, OSError) as exc:
-            raise self._died() from exc
-
-    def _died(self):
-        self._process.join(WORKER_JOIN_TIMEOUT_S)
-        return FlowAbortError(
-            f"the spectrum worker process ended abruptly (exit code {self._process.exitcode})"
-        )
-
-
-def _solve_samples(conn, parent_end, mesh, base_lengths, config):
-    """Body of a ``SpectrumWorker``: solve each ``(t, u)`` received until the
-    end marker, then send the results back one message each (a single list
-    would be one pickle the size of every eigenvector of the flow)."""
-    parent_end.close()  # else a dead parent would never end recv() here
-    results = []
+    pool = ProcessPoolExecutor(
+        1, mp_context=fork_context(), initializer=_set_solver_inputs,
+        initargs=(mesh, base_lengths, config),
+    )
     try:
-        for t, u in iter(conn.recv, None):
-            try:
-                stiffness, mass = assemble_operators(ConformalMetric(mesh, base_lengths, u))
-                results.append(smallest_eigenpairs(
-                    stiffness, mass, config.k, tol=config.eig_tol, seed=config.seed, t=t
-                ))
-            except Exception as exc:  # solve_snapshots decides what it means
-                results.append(exc)
-        for result in results:
-            conn.send(result)
-    except (EOFError, OSError):
-        pass  # the parent left without asking for the results
+        yield pool
+    except BrokenProcessPool as exc:
+        raise FlowAbortError("the spectrum worker process ended abruptly") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+_solver_inputs = None  # (mesh, base_lengths, config) in a spectrum pool's worker
+
+
+def _set_solver_inputs(mesh, base_lengths, config):
+    global _solver_inputs
+    _solver_inputs = mesh, base_lengths, config
+
+
+def solve_sample(t, u):
+    """The ``SpectrumSnapshot`` of state ``u`` at time ``t``; runs in a ``spectrum_pool``."""
+    mesh, base_lengths, config = _solver_inputs
+    stiffness, mass = assemble_operators(ConformalMetric(mesh, base_lengths, u))
+    return smallest_eigenpairs(stiffness, mass, config.k, tol=config.eig_tol, seed=config.seed, t=t)
 
 
 def rf_nrf_time_map(area0, chi, tau):

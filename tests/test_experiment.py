@@ -229,17 +229,18 @@ def test_dead_spectrum_worker_is_typed_error(tmp_path):
 
 _WORKER_LIFECYCLE = """
 import json, multiprocessing, os, sys
-from ricciflow import EigensolverError, FlowAbortError, flow
+from ricciflow import EigensolverError, FlowAbortError, TriangleInequalityError, flow
 from ricciflow.experiment import ExperimentConfig, build_base_metric, run_flow_experiment
 from ricciflow.geometry import perturb_metric
 
 case = sys.argv[1]
 config = ExperimentConfig.from_dict(json.loads(sys.argv[2]))
-last_t = None
-if case in ("last", "dead"):
+last_t = mid_t = None
+if case in ("last", "dead", "other"):
     spec = config.perturbations[0]
     metric, _ = perturb_metric(build_base_metric(config), spec.amplitude, spec.seed)
-    last_t = flow.run_flow(metric, config.flow).samples[-1].t
+    samples = flow.run_flow(metric, config.flow).samples
+    last_t, mid_t = samples[-1].t, samples[len(samples) // 2].t
 real = flow.smallest_eigenpairs
 
 def solver(stiffness, mass, k, tol, seed, t=0.0):
@@ -247,13 +248,15 @@ def solver(stiffness, mass, k, tol, seed, t=0.0):
         os._exit(3)
     if (case, t) in (("first", 0.0), ("last", last_t)):
         raise EigensolverError("injected failure")
+    if (case, t) == ("other", mid_t):
+        raise TriangleInequalityError("injected failure")
     return real(stiffness, mass, k, tol, seed, t=t)
 
 flow.smallest_eigenpairs = solver
 try:
     run_flow_experiment(config)
     outcome = "ok"
-except (EigensolverError, FlowAbortError) as exc:
+except (EigensolverError, FlowAbortError, TriangleInequalityError) as exc:
     outcome = f"{type(exc).__name__}: {exc}"
 print(json.dumps([outcome, len(multiprocessing.active_children())]))
 """
@@ -267,11 +270,13 @@ print(json.dumps([outcome, len(multiprocessing.active_children())]))
         ("first", {}, "EigensolverError: no spectrum at t=0,"),
         ("last", {}, "EigensolverError: no spectrum at t="),
         ("dead", {}, "FlowAbortError: the spectrum worker process ended abruptly"),
+        ("other", {}, "TriangleInequalityError: injected failure"),
     ],
 )
 def test_spectrum_worker_leaves_no_process(case, flow, outcome):
     # on every way out of a flow experiment its spectrum worker is joined,
-    # and the interpreter exits at once
+    # and the interpreter exits at once; a solve's error other than an
+    # EigensolverError reaches the caller as it was raised
     data = _config_dict(flow={"spectrum_every": 30, "k": 8, "seed": 3, **flow})
     done = _run_python(_WORKER_LIFECYCLE, case, json.dumps(data))
     assert done.returncode == 0, done.stderr
@@ -881,6 +886,8 @@ def _assert_exit_contract(code, lines):
         ("1", "0,inf"),
         ("1", "1e6"),  # the area e^{8 pi tau} overflows
         ("1e300", "30"),
+        ("1", ","),  # no tau value at all
+        ("1", ""),
     ],
 )
 def test_cli_timemap_rejects_bad_arguments(area0, tau):
@@ -911,6 +918,14 @@ def test_cli_gen(tmp_path, capsys):
     assert payload["chi"] == -2 and payload["genus"] == 2
     assert len(payload["triangles"]) == 68
     assert len(payload["base_lengths"]) == 102
+
+
+def test_cli_gen_rejects_negative_level(tmp_path, capsys):
+    assert cli_main(["gen", "--level", "-1", "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_seed_override(tmp_path):

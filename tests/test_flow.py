@@ -7,7 +7,6 @@ from ricciflow import (
     FlowAbortError,
     FlowConfig,
     RicciFlowError,
-    SpectrumWorker,
     TriangleInequalityError,
     assemble_operators,
     curvature_pde_residual,
@@ -23,7 +22,7 @@ from ricciflow import (
     solve_snapshots,
     step,
 )
-from ricciflow.flow import _Workspace
+from ricciflow.flow import _Workspace, solve_sample, spectrum_pool
 
 
 def test_velocity_zero_at_constant_curvature(tetra_metric, torus16_metric):
@@ -224,14 +223,17 @@ def test_run_flow_solves_no_eigenproblem(octagon0, monkeypatch):
 
 
 def test_worker_spectra_match_in_process_solves(octagon1):
-    # every spectrum along a flow is solved in a SpectrumWorker, with samples
+    # every spectrum along a flow is solved in a spectrum pool, with samples
     # streamed in as the flow stores them or sent after it; either way each
     # one is the in-process solve of the same sample, bit for bit
     metric, _ = perturb_metric(octagon1, 0.02, 13)
     config = FlowConfig(spectrum_every=10, k=8, seed=1)
-    with SpectrumWorker(metric.mesh, metric.base_lengths, config) as worker:
-        streamed = run_flow(metric, config, on_sample=worker.submit)
-        solve_snapshots(streamed, worker)
+    with spectrum_pool(metric.mesh, metric.base_lengths, config) as pool:
+        solves = []
+        streamed = run_flow(
+            metric, config, on_sample=lambda s: solves.append(pool.submit(solve_sample, s.t, s.u))
+        )
+        solve_snapshots(streamed, solves)
     afterwards = run_flow(metric, config)
     solve_snapshots(afterwards)
     assert not multiprocessing.active_children()
