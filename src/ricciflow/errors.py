@@ -66,8 +66,7 @@ class EigensolverError(RicciFlowError):
 
 class FlowAbortError(RicciFlowError):
     """Time integration could not continue: the step size underflowed, or
-    the pair worker process running the flow, or the spectrum worker process
-    solving its samples, ended abruptly."""
+    the process running the flow ended abruptly."""
 
     def __init__(self, message, t=None, dt=None):
         super().__init__(message)

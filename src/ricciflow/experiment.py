@@ -1,27 +1,27 @@
 """Experiment orchestration: configs, pipelines, and artifact emission.
 
 A flow experiment builds a surface (generated or loaded), normalizes its
-area, perturbs it, runs the flow while a one-worker spectrum process pool
-solves each stored sample, tracks the spectrum, and evaluates every
-applicable bound check. The pair experiment builds the base surface once,
-runs this for two perturbations of it in two worker processes, and adds the
-two-surface comparison checks, including the end-to-end spectral comparison
-with the measured distortion bound of the two limits.
+area, perturbs it and runs the flow in a forked, thread-free process while
+this process solves the spectrum of each stored sample as it arrives, tracks
+the spectrum, and evaluates every applicable bound check. The pair experiment
+builds the base surface once, does this for two perturbations of it at once,
+and adds the two-surface comparison checks, including the end-to-end spectral
+comparison with the measured distortion bound of the two limits.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from . import bounds as bnd
 from .errors import ConfigError, FlowAbortError, HypothesisError
-from .flow import FlowConfig, fork_context, integer_at_least, monotonicity_violations, real_number
-from .flow import run_flow, solve_sample, solve_snapshots, spectrum_pool
+from .flow import FlowConfig, integer_at_least, monotonicity_violations, real_number
+from .flow import run_flow, solve_sample, solve_snapshots
 from .geometry import ConformalMetric, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
 from .reporting import (
@@ -209,16 +209,87 @@ def build_base_metric(config):
     return normalize_area(metric, target)
 
 
-def _run_one_surface(config, base, spec, progress=None):
-    metric, window = perturb_metric(base, spec.amplitude, spec.seed)
-    with spectrum_pool(metric.mesh, metric.base_lengths, config.flow) as pool:
-        solves = []
+def fork_context():
+    """The ``fork`` start method where the platform offers it, else the default.
+
+    A forked process inherits the loaded modules (and any patches of them)
+    and its arguments unpickled; spawn would re-import numpy and scipy.
+    """
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if fork else None)
+
+
+def _run_surfaces(config, base, specs, progress=None):
+    """One ``(metric, window, trace, branch_set)`` per perturbation spec of ``base``.
+
+    Each flow runs in its own ``_flow_process``, and this process solves the
+    samples as they arrive. A flow's own error is raised here, a flow process
+    that dies raises FlowAbortError, and every one is joined on every way out.
+    """
+    context = fork_context()
+    processes, pipes, pending = [], {}, []  # pending: (surface, t, u) not yet solved
+    outcomes, results = [[] for _ in specs], [None] * len(specs)
+    try:
+        for i, spec in enumerate(specs):
+            receiver, sender = context.Pipe(duplex=False)
+            args = (sender, config, base, spec, progress is not None)
+            processes.append(context.Process(target=_flow_process, args=args))
+            processes[-1].start()
+            sender.close()  # the flow process now holds the only write end: its death is EOF
+            pipes[receiver] = i
+        while pipes or pending:
+            # read all that has arrived before each solve: no flow may wait on a full pipe
+            for pipe in wait(list(pipes), timeout=0 if pending else None):
+                while pipe in pipes and pipe.poll():
+                    i = pipes[pipe]
+                    try:
+                        kind, *body = pipe.recv()
+                    except EOFError:
+                        raise FlowAbortError(
+                            f"a flow worker process ended abruptly; unflowed surfaces: [{i + 1}]"
+                        ) from None
+                    if kind == "sample":
+                        pending.append((i, *body))
+                    elif kind == "progress":
+                        progress(*body)
+                    elif kind == "error":
+                        raise body[0]
+                    else:  # "done"
+                        results[i] = body
+                        del pipes[pipe]
+                        pipe.close()
+            if pending:
+                i, t, u = pending.pop(0)
+                outcomes[i].append(solve_sample(base.mesh, base.base_lengths, config.flow, t, u))
+    finally:
+        for pipe, i in pipes.items():
+            processes[i].terminate()
+            pipe.close()
+        for process in processes:
+            process.join()
+
+    surfaces = []
+    for (u, window, trace), solved in zip(results, outcomes):
+        trace = replace(trace, mesh=base.mesh)
+        solve_snapshots(trace, solved)
+        surfaces.append((base.with_u(u), window, trace, track_branches(trace.snapshots())))
+    return surfaces
+
+
+def _flow_process(pipe, config, base, spec, report_progress):
+    """Perturb ``base`` by ``spec`` and run the flow, which sends ``("sample", t, u)``
+    and, if asked, ``("progress", t, max_dev, dt)`` down ``pipe``; then send
+    ``("done", u, window, trace without the mesh)`` or ``("error", exc)``."""
+    try:
+        metric, window = perturb_metric(base, spec.amplitude, spec.seed)
         trace = run_flow(
-            metric, config.flow, progress=progress,
-            on_sample=lambda s: solves.append(pool.submit(solve_sample, s.t, s.u)),
+            metric, config.flow,
+            progress=(lambda *state: pipe.send(("progress", *state))) if report_progress else None,
+            on_sample=lambda s: pipe.send(("sample", s.t, s.u)),
         )
-        solve_snapshots(trace, solves)
-    return metric, window, trace, track_branches(trace.snapshots())
+        pipe.send(("done", metric.u, window, replace(trace, mesh=None)))
+    except Exception as exc:  # the parent raises it as the flow's own error
+        pipe.send(("error", exc))
 
 
 def _surface_block(config, window, trace, branch_set):
@@ -282,9 +353,8 @@ def run_flow_experiment(config, progress=None):
     if len(config.perturbations) != 1:
         raise ConfigError("flow experiment takes exactly one perturbation spec")
     base = build_base_metric(config)
-    metric, window, trace, branch_set = _run_one_surface(
-        config, base, config.perturbations[0], progress
-    )
+    [surface] = _run_surfaces(config, base, config.perturbations, progress)
+    metric, window, trace, branch_set = surface
     report, block = _surface_block(config, window, trace, branch_set)
     report_dict = {
         "version": 1,
@@ -301,32 +371,15 @@ def run_flow_experiment(config, progress=None):
 def run_pair_experiment(config):
     """Two-surface pipeline behind the spectral comparison theorem.
 
-    Both perturbations start from one base surface. The two flows run in
-    two worker processes, so they do not contend for the GIL; each worker
-    runs exactly the in-process pipeline, its own spectrum pool included,
-    and pickles its result back, which is rejoined to the base surface's
-    mesh here. The measured curvature windows are merged (widest wins), and
-    the comparison checks use the distortion upper bound of the two limit
-    metrics.
+    Both perturbations start from one base surface, and the two flows run
+    at once in two flow processes, so they do not contend for the GIL. The
+    measured curvature windows are merged (widest wins), and the comparison
+    checks use the distortion upper bound of the two limit metrics.
     """
     if len(config.perturbations) != 2:
         raise ConfigError("pair experiment needs exactly two perturbation specs")
     base = build_base_metric(config)
-    with ProcessPoolExecutor(max_workers=2, mp_context=fork_context()) as pool:
-        futures = [pool.submit(_run_in_worker, config, base, spec) for spec in config.perturbations]
-        results, died = [], []
-        for i, future in enumerate(futures, start=1):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                died.append(i)
-    if died:
-        raise FlowAbortError(f"a pair worker process ended abruptly; unflowed surfaces: {died}")
-
-    (m1, w1, tr1, bs1), (m2, w2, tr2, bs2) = [
-        (ConformalMetric(base.mesh, tr.base_lengths, u), w, replace(tr, mesh=base.mesh), bs)
-        for u, w, tr, bs in results
-    ]
+    (m1, w1, tr1, bs1), (m2, w2, tr2, bs2) = _run_surfaces(config, base, config.perturbations)
     # perturbation renormalizes the area, so sharing the mesh does not settle these
     area1 = tr1.samples[0].curvature.total_area
     area2 = tr2.samples[0].curvature.total_area
@@ -368,13 +421,6 @@ def run_pair_experiment(config):
         combined,
         report_dict,
     )
-
-
-def _run_in_worker(config, base, spec):
-    """``_run_one_surface`` in a pair worker. The parent already holds the
-    mesh, which is 40% of a level-3 result's pickle, so it is not sent back."""
-    metric, window, trace, branch_set = _run_one_surface(config, base, spec)
-    return metric.u, window, replace(trace, mesh=None), branch_set
 
 
 def _emit(config, report_dict, surfaces):

@@ -9,20 +9,16 @@ a 2x growth factor, ``dt_init``, a linear-stability estimate of the stiffest
 curvature mode and the time left to ``t_max``; steps that break a triangle
 inequality are rejected and retried at half size, and a step size below
 ``dt_min`` aborts the run. ``run_flow`` stores full states without spectra
-and hands each one, as it is stored, to ``on_sample``. Every spectrum along a
-flow is solved in a ``spectrum_pool``, a one-worker process pool forked per
-flow that solves the stored samples while the flow keeps integrating;
-``solve_snapshots`` collects its results in time order.
+and hands each one, as it is stored, to ``on_sample``. ``solve_sample``
+solves one stored state, and ``solve_snapshots`` fills in the spectra of a
+trace in time order, from such solves made while the flow ran or by solving
+every sample itself.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import warnings as _warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field as _field, replace
 
 import numpy as np
@@ -244,7 +240,7 @@ def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=No
         Called as ``progress(t, max_dev, dt)`` every few thousand steps.
     on_sample : callable, optional
         Called with each ``FlowSample`` as it is stored, in time order, so a
-        ``spectrum_pool`` can solve it while the flow goes on.
+        caller can solve it while the flow goes on.
 
     Returns
     -------
@@ -349,13 +345,13 @@ def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=No
     return finish()
 
 
-def solve_snapshots(trace, solves=None):
+def solve_snapshots(trace, outcomes=None):
     """Fill in the spectrum of every stored sample of ``trace``, in time order.
 
-    ``solves`` holds one future per sample of ``trace``, in time order: the
-    ``submit(solve_sample, t, u)`` of a ``spectrum_pool`` as the flow stored
-    the sample (``run_flow``'s ``on_sample``). Call this inside that pool's
-    ``with``. Without ``solves``, a pool is opened here and given every sample.
+    ``outcomes`` holds one ``solve_sample`` result per sample of ``trace``, in
+    time order, as a caller solved the samples while the flow ran (from
+    ``run_flow``'s ``on_sample``). Without ``outcomes``, every sample is
+    solved here.
 
     This is the one place that decides what a failed eigensolve means. At an
     interior sample it records a warning and leaves the spectrum None. The
@@ -364,72 +360,31 @@ def solve_snapshots(trace, solves=None):
     may stand in for, so a failure there raises :class:`EigensolverError`.
     Any other exception a solve raised is raised again here.
     """
-    if solves is None:
-        with spectrum_pool(trace.mesh, trace.base_lengths, trace.config) as pool:
-            solves = [pool.submit(solve_sample, s.t, s.u) for s in trace.samples]
-            return solve_snapshots(trace, solves)
+    if outcomes is None:
+        inputs = trace.mesh, trace.base_lengths, trace.config
+        outcomes = [solve_sample(*inputs, s.t, s.u) for s in trace.samples]
     last = len(trace.samples) - 1
-    for i, (s, solve) in enumerate(zip(trace.samples, solves, strict=True)):
-        try:
-            spectrum = solve.result()
-        except EigensolverError as exc:
+    for i, (s, outcome) in enumerate(zip(trace.samples, outcomes, strict=True)):
+        if isinstance(outcome, EigensolverError):
             if i in (0, last):
-                message = f"no spectrum at t={s.t:.6g}, which the checks need: {exc}"
-                raise EigensolverError(message, exc.best_residual) from exc
-            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {exc}")
+                message = f"no spectrum at t={s.t:.6g}, which the checks need: {outcome}"
+                raise EigensolverError(message, outcome.best_residual) from outcome
+            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {outcome}")
+        elif isinstance(outcome, Exception):
+            raise outcome
         else:
-            trace.samples[i] = replace(s, spectrum=spectrum)
+            trace.samples[i] = replace(s, spectrum=outcome)
 
 
-def fork_context():
-    """The ``fork`` start method where the platform offers it, else the default.
-
-    Forked workers inherit the loaded modules (and any patches of them);
-    forkserver and spawn would re-import numpy and scipy in every worker.
-    """
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if fork else None)
-
-
-@contextmanager
-def spectrum_pool(mesh, base_lengths, config):
-    """A one-worker process pool that solves the spectra of one flow's samples.
-
-    ``pool.submit(solve_sample, t, u)`` returns at once, so the flow keeps
-    integrating while the worker solves. Forking hands the worker the mesh
-    once, through the initializer, and each submit pickles only ``(t, u)``.
-    The worker calls this module's ``assemble_operators`` and
-    ``smallest_eigenpairs`` on the inputs an in-process solve would use, so
-    the spectra are the same bits. Leaving the pool cancels the solves not
-    yet started and joins the worker, on every path. A worker that dies,
-    seen by a ``submit`` or a ``result()`` inside the ``with``, raises
-    FlowAbortError.
-    """
-    pool = ProcessPoolExecutor(
-        1, mp_context=fork_context(), initializer=_set_solver_inputs,
-        initargs=(mesh, base_lengths, config),
-    )
+def solve_sample(mesh, base_lengths, config, t, u):
+    """The ``SpectrumSnapshot`` of state ``u`` at time ``t``, or the exception
+    its solve raised, which ``solve_snapshots`` alone turns into an outcome."""
     try:
-        yield pool
-    except BrokenProcessPool as exc:
-        raise FlowAbortError("the spectrum worker process ended abruptly") from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-_solver_inputs = None  # (mesh, base_lengths, config) in a spectrum pool's worker
-
-
-def _set_solver_inputs(mesh, base_lengths, config):
-    global _solver_inputs
-    _solver_inputs = mesh, base_lengths, config
-
-
-def solve_sample(t, u):
-    """The ``SpectrumSnapshot`` of state ``u`` at time ``t``; runs in a ``spectrum_pool``."""
-    mesh, base_lengths, config = _solver_inputs
-    stiffness, mass = assemble_operators(ConformalMetric(mesh, base_lengths, u))
-    return smallest_eigenpairs(stiffness, mass, config.k, tol=config.eig_tol, seed=config.seed, t=t)
+        stiffness, mass = assemble_operators(ConformalMetric(mesh, base_lengths, u))
+        return smallest_eigenpairs(stiffness, mass, config.k, tol=config.eig_tol,
+                                   seed=config.seed, t=t)
+    except Exception as exc:
+        return exc
 
 
 def rf_nrf_time_map(area0, chi, tau):

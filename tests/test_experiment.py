@@ -7,6 +7,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -25,14 +26,14 @@ from ricciflow.audit import audit_directory
 from ricciflow.cli import main as cli_main
 from ricciflow.experiment import (
     ExperimentConfig,
-    _run_one_surface,
     build_base_metric,
     pde_residual_median,
     run_flow_experiment,
     run_pair_experiment,
 )
-from ricciflow.geometry import perturb_metric
+from ricciflow.geometry import perturb_metric, scale_metric
 from ricciflow.reporting import read_report_json, write_report_json
+from ricciflow.tracking import track_branches
 
 
 def _config_dict(**overrides):
@@ -151,47 +152,58 @@ def test_pair_experiment_opposite_perturbations():
     assert np.abs(u1 - u2).max() <= 10.0 * conv
 
 
-def _shrink_area_of_seed_6(config, base, spec, progress=None):
-    # a stand-in for _run_one_surface that the pair's forked workers inherit;
-    # it shrinks the recorded area of one surface, picked by its seed because
-    # a call count kept in one process cannot be seen by the other
-    metric, window, trace, branches = _run_one_surface(config, base, spec, progress)
-    if spec.seed == 6:
-        bad = replace(trace.samples[0].curvature, total_area=1.0)
-        trace.samples[0] = flow_module.FlowSample(
-            step=0, t=0.0, u=trace.samples[0].u, curvature=bad,
-            spectrum=trace.samples[0].spectrum,
-        )
-    return metric, window, trace, branches
-
-
 def test_pair_area_guard(monkeypatch):
+    # the flow processes inherit the patch, which halves the area of the
+    # surface of seed 6 before it is perturbed
     import ricciflow.experiment as exp
 
-    monkeypatch.setattr(exp, "_run_one_surface", _shrink_area_of_seed_6)
+    real = exp.perturb_metric
+
+    def perturb(base, amplitude, seed):
+        return real(scale_metric(base, 0.5) if seed == 6 else base, amplitude, seed)
+
+    monkeypatch.setattr(exp, "perturb_metric", perturb)
     data = _config_dict(
         perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": 0.02, "seed": 6}]
     )
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="area"):
         run_pair_experiment(ExperimentConfig.from_dict(data))
 
 
-def test_dead_pair_worker_is_typed_error(monkeypatch, tmp_path, capsys):
-    # forked workers inherit the patch; a worker that dies must not leave the
-    # CLI with a BrokenProcessPool traceback
+_PAIR_SPECS = [{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}]
+
+
+def _kind_config(kind, **overrides):
+    """The config dict of a ``flow`` or ``pair`` run: one or both of ``_PAIR_SPECS``."""
+    specs = _PAIR_SPECS[: 1 if kind == "flow" else 2]
+    return _config_dict(perturbations=specs, **overrides)
+
+
+def _run_kind(kind, config):
+    """``(metric, window, trace, branch_set)`` of each surface of a ``kind`` run."""
+    if kind == "pair":
+        return list(run_pair_experiment(config).surfaces)
+    artifacts = run_flow_experiment(config)
+    return [(artifacts.initial, artifacts.window, artifacts.trace, artifacts.branch_set)]
+
+
+@pytest.mark.parametrize("kind", ["flow", "pair"])
+def test_dead_flow_process_is_typed_error(kind, monkeypatch, tmp_path, capsys):
+    # the flow processes inherit the patch; one that dies must not leave the
+    # CLI with a traceback
     import ricciflow.experiment as exp
 
     monkeypatch.setattr(exp, "run_flow", lambda *args, **kwargs: os._exit(3))
-    cfg = tmp_path / "pair.json"
-    _write_config(cfg, _config_dict(
-        perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}]
-    ))
-    assert cli_main(["pair", "--config", str(cfg), "--quiet"]) == 2
-    lines = capsys.readouterr().out.strip().splitlines()
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _kind_config(kind))
+    assert cli_main([kind, "--config", str(cfg), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.strip().splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert payload["error"] == "FlowAbortError"
-    assert "surface" in payload["message"]
+    assert payload["message"].startswith("a flow worker process ended abruptly; unflowed surfaces")
+    assert "Traceback" not in err
 
 
 def _run_python(code, *args, timeout=120):
@@ -206,62 +218,37 @@ def _run_python(code, *args, timeout=120):
     )
 
 
-def test_dead_spectrum_worker_is_typed_error(tmp_path):
-    # a spectrum worker that dies mid-flow must end the CLI with one JSON line
-    cfg = tmp_path / "config.json"
-    _write_config(cfg, _config_dict())
-    done = _run_python(
-        "import os, sys\n"
-        "from ricciflow import flow\n"
-        "flow.smallest_eigenpairs = lambda *args, **kwargs: os._exit(3)\n"
-        "from ricciflow.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n",
-        "flow", "--config", cfg, "--quiet",
-    )
-    assert done.returncode == 2, done.stderr
-    lines = done.stdout.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "FlowAbortError"
-    assert "spectrum worker" in payload["message"]
-    assert "Traceback" not in done.stderr
-
-
 _WORKER_LIFECYCLE = """
-import json, multiprocessing, os, sys
-from ricciflow import EigensolverError, FlowAbortError, TriangleInequalityError, flow
-from ricciflow.experiment import ExperimentConfig, build_base_metric, run_flow_experiment
-from ricciflow.geometry import perturb_metric
+import json, multiprocessing, os, sys, threading
+from ricciflow import EigensolverError, FlowAbortError, TriangleInequalityError, experiment, flow
 
-case = sys.argv[1]
-config = ExperimentConfig.from_dict(json.loads(sys.argv[2]))
-last_t = mid_t = None
-if case in ("last", "dead", "other"):
-    spec = config.perturbations[0]
-    metric, _ = perturb_metric(build_base_metric(config), spec.amplitude, spec.seed)
-    samples = flow.run_flow(metric, config.flow).samples
-    last_t, mid_t = samples[-1].t, samples[len(samples) // 2].t
+kind, case = sys.argv[1], sys.argv[2]
+config = experiment.ExperimentConfig.from_dict(json.loads(sys.argv[3]))
 real = flow.smallest_eigenpairs
 
 def solver(stiffness, mass, k, tol, seed, t=0.0):
-    if case == "dead" and t == last_t:
-        os._exit(3)
-    if (case, t) in (("first", 0.0), ("last", last_t)):
+    # interior failures are warnings, so failing every sample after the
+    # first makes the last one the failure that counts
+    if (case, t == 0.0) in (("first", True), ("last", False)):
         raise EigensolverError("injected failure")
-    if (case, t) == ("other", mid_t):
+    if (case, t == 0.0) == ("other", False):
         raise TriangleInequalityError("injected failure")
     return real(stiffness, mass, k, tol, seed, t=t)
 
 flow.smallest_eigenpairs = solver
+if case == "dead":
+    experiment.run_flow = lambda *args, **kwargs: os._exit(3)
+run = experiment.run_flow_experiment if kind == "flow" else experiment.run_pair_experiment
 try:
-    run_flow_experiment(config)
+    run(config)
     outcome = "ok"
 except (EigensolverError, FlowAbortError, TriangleInequalityError) as exc:
     outcome = f"{type(exc).__name__}: {exc}"
-print(json.dumps([outcome, len(multiprocessing.active_children())]))
+print(json.dumps([outcome, len(multiprocessing.active_children()), threading.active_count()]))
 """
 
 
+@pytest.mark.parametrize("kind", ["flow", "pair"])
 @pytest.mark.parametrize(
     "case, flow, outcome",
     [
@@ -269,20 +256,23 @@ print(json.dumps([outcome, len(multiprocessing.active_children())]))
         ("abort", {"safety": 1e-12}, "FlowAbortError: step size underflow"),
         ("first", {}, "EigensolverError: no spectrum at t=0,"),
         ("last", {}, "EigensolverError: no spectrum at t="),
-        ("dead", {}, "FlowAbortError: the spectrum worker process ended abruptly"),
+        ("dead", {}, "FlowAbortError: a flow worker process ended abruptly"),
         ("other", {}, "TriangleInequalityError: injected failure"),
     ],
 )
-def test_spectrum_worker_leaves_no_process(case, flow, outcome):
-    # on every way out of a flow experiment its spectrum worker is joined,
-    # and the interpreter exits at once; a solve's error other than an
-    # EigensolverError reaches the caller as it was raised
-    data = _config_dict(flow={"spectrum_every": 30, "k": 8, "seed": 3, **flow})
-    done = _run_python(_WORKER_LIFECYCLE, case, json.dumps(data))
+def test_spectrum_worker_leaves_no_process(case, flow, outcome, kind):
+    # on every way out of an experiment its flow processes are joined, no
+    # thread is left beside the main one, and the interpreter exits at once;
+    # a solve's error other than an EigensolverError reaches the caller as
+    # it was raised
+    data = _kind_config(kind, flow={"spectrum_every": 30, "k": 8, "seed": 3, **flow})
+    done = _run_python(_WORKER_LIFECYCLE, kind, case, json.dumps(data))
     assert done.returncode == 0, done.stderr
-    found, children = json.loads(done.stdout)
+    found, children, threads = json.loads(done.stdout)
     assert found.startswith(outcome), found
-    assert children == 0
+    if case == "last":
+        assert not found.startswith("EigensolverError: no spectrum at t=0,"), found
+    assert children == 0 and threads == 1
     assert "Traceback" not in done.stderr
 
 
@@ -291,7 +281,7 @@ def _round_trip(obj):
 
 
 def test_errors_survive_pickle():
-    # a pair worker's error reaches the parent by pickle, with its attributes
+    # a flow process's error reaches the parent by pickle, with its attributes
     classes = [
         obj for obj in vars(errors_module).values()
         if isinstance(obj, type) and issubclass(obj, errors_module.RicciFlowError)
@@ -320,31 +310,88 @@ def test_errors_survive_pickle():
     assert [s.t for s in back.trace.samples] == [s.t for s in exc.trace.samples]
 
 
-def test_pair_workers_match_in_process_runs():
-    # each worker process runs exactly the in-process per-surface pipeline
-    config = ExperimentConfig.from_dict(_config_dict(
-        mesh={"generator": "genus2", "level": 1},
-        perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}],
-    ))
-    pair = run_pair_experiment(config)
-    assert pair.surfaces[0][2].mesh is pair.surfaces[1][2].mesh  # rejoined to one base mesh
+@pytest.mark.parametrize("kind", ["flow", "pair"])
+def test_surfaces_match_in_process_runs(kind):
+    # each flow runs in its own process and its spectra are solved in this
+    # one; every surface must still be the in-process run, bit for bit
+    config = ExperimentConfig.from_dict(
+        _kind_config(kind, mesh={"generator": "genus2", "level": 1})
+    )
+    surfaces = _run_kind(kind, config)
+    meshes = {id(trace.mesh) for _, _, trace, _ in surfaces}
+    assert len(meshes) == 1  # the pair's two traces are rejoined to one base mesh
     base = build_base_metric(config)
-    for spec, (metric, _, trace, branch_set) in zip(config.perturbations, pair.surfaces):
-        expected_metric, _, expected, expected_branches = _run_one_surface(config, base, spec)
-        assert trace.converged and expected.converged
-        assert np.array_equal(metric.u, expected_metric.u)
+    for spec, (metric, window, trace, branch_set) in zip(config.perturbations, surfaces):
+        expected_metric, expected_window = perturb_metric(base, spec.amplitude, spec.seed)
+        expected = flow_module.run_flow(expected_metric, config.flow)
+        flow_module.solve_snapshots(expected)
+        expected_branches = track_branches(expected.snapshots())
+        if kind == "flow":  # the pair merges the two windows
+            assert window == expected_window
+        assert trace.converged and expected.converged and trace.warnings == expected.warnings
+        assert metric.mesh is trace.mesh and np.array_equal(metric.u, expected_metric.u)
         assert trace.steps.keys() == expected.steps.keys()
         for key, column in expected.steps.items():
             assert np.array_equal(trace.steps[key], column), key
         assert len(trace.samples) == len(expected.samples)
         for got, want in zip(trace.samples, expected.samples):
             assert got.t == want.t and np.array_equal(got.u, want.u)
-            assert (got.spectrum is None) == (want.spectrum is None)
-            if want.spectrum is not None:
-                for field in ("eigenvalues", "eigenvectors", "residuals", "mass"):
-                    assert np.array_equal(getattr(got.spectrum, field),
-                                          getattr(want.spectrum, field)), field
-        assert np.array_equal(branch_set.values, expected_branches.values)
+            for field in ("eigenvalues", "eigenvectors", "residuals", "mass"):
+                assert np.array_equal(getattr(got.spectrum, field),
+                                      getattr(want.spectrum, field)), field
+        for field in ("times", "values", "flagged", "sorted_values"):
+            assert np.array_equal(getattr(branch_set, field),
+                                  getattr(expected_branches, field)), field
+        assert all(map(np.array_equal, branch_set.vectors, expected_branches.vectors))
+
+
+@pytest.mark.parametrize("kind", ["flow", "pair"])
+def test_flow_process_runs_one_thread(kind, monkeypatch, tmp_path):
+    # the process that integrates a flow starts no thread, so no helper
+    # thread takes the GIL from the integrator
+    import ricciflow.experiment as exp
+
+    log = tmp_path / "threads.txt"
+    real = exp.run_flow
+
+    def run_flow(metric, config, progress=None, on_sample=None):
+        def record(sample):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {threading.active_count()}\n")
+            on_sample(sample)
+
+        return real(metric, config, progress=progress, on_sample=record)
+
+    monkeypatch.setattr(exp, "run_flow", run_flow)
+    surfaces = _run_kind(kind, ExperimentConfig.from_dict(_kind_config(kind)))
+    rows = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
+    assert len(rows) == sum(len(trace.samples) for _, _, trace, _ in surfaces)
+    assert {threads for _, threads in rows} == {"1"}
+    assert len({pid for pid, _ in rows}) == len(surfaces)
+    assert str(os.getpid()) not in {pid for pid, _ in rows}
+
+
+def test_flow_progress_reaches_the_caller(monkeypatch, tmp_path):
+    # the flow runs in another process, and its progress still reaches the
+    # caller's callback in this one, value for value
+    import ricciflow.experiment as exp
+
+    pid_file = tmp_path / "pid.txt"
+    real = exp.run_flow
+
+    def run_flow(metric, config, progress=None, on_sample=None):
+        pid_file.write_text(str(os.getpid()), encoding="ascii")
+        progress(0.25, 1e-3, 1e-4)
+        return real(metric, config, on_sample=on_sample)
+
+    monkeypatch.setattr(exp, "run_flow", run_flow)
+    calls = []
+    run_flow_experiment(
+        ExperimentConfig.from_dict(_config_dict()),
+        progress=lambda *state: calls.append((os.getpid(), state)),
+    )
+    assert calls == [(os.getpid(), (0.25, 1e-3, 1e-4))]
+    assert pid_file.read_text(encoding="ascii") != str(os.getpid())
 
 
 def test_flow_experiment_wrong_spec_count():
@@ -600,7 +647,8 @@ def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):
     # perfbench/tracer.py patches the experiment layer by module attribute;
     # the counts show that a pair builds its base surface once and still
     # calls every per-surface stage through those attributes, once per
-    # surface. Perturbation, flow and tracking run in the pair's worker
+    # surface. Every spectrum and the tracking are recorded in this process,
+    # one solve per stored sample. Perturbation and flow run in the flow
     # processes, whose spans do not reach this process, so a wrapper under
     # the tracer's counts those calls in a file instead.
     import ricciflow.experiment as exp
@@ -612,7 +660,7 @@ def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):
     spec.loader.exec_module(tracer_module)
 
     log = tmp_path / "worker_calls.txt"
-    in_workers = ("perturb_metric", "run_flow", "track_branches")
+    in_workers = ("perturb_metric", "run_flow")
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -630,9 +678,12 @@ def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):
     )
     tracer = tracer_module.Tracer(0)
     with tracer.session():
-        run_pair_experiment(ExperimentConfig.from_dict(data))
+        pair = run_pair_experiment(ExperimentConfig.from_dict(data))
     counts = Counter(s.name for s in tracer.spans)
     assert counts["mesh.generate_genus2"] == 1
+    samples = sum(len(trace.samples) for _, _, trace, _ in pair.surfaces)
+    assert samples > 2 and counts["spectrum.smallest_eigenpairs"] == samples
+    assert counts["tracking.track_branches"] == 2
     per_surface = [
         "reporting.write_trace_csv",
         "reporting.write_spectrum_csv",
@@ -670,10 +721,8 @@ def test_pde_residual_median_reads_every_sample(monkeypatch):
         _config_dict(mesh={"generator": "genus2", "level": 1}, flow={"spectrum_every": 10})
     )
     metric, _ = perturb_metric(build_base_metric(config), 0.02, 11)
-    # the solver runs in a forked spectrum worker, whose state never reaches
-    # this process, so it picks the failing sample by its time, taken from a
-    # dry run of the deterministic flow
-    failing_t = flow_module.run_flow(metric, config.flow).samples[3].t
+    trace = flow_module.run_flow(metric, config.flow)
+    failing_t = trace.samples[3].t
     real = flow_module.smallest_eigenpairs
 
     def solver(stiffness, mass, k, tol, seed, t=0.0):
@@ -682,7 +731,6 @@ def test_pde_residual_median_reads_every_sample(monkeypatch):
         return real(stiffness, mass, k, tol, seed, t=t)
 
     monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
-    trace = flow_module.run_flow(metric, config.flow)
     flow_module.solve_snapshots(trace)
     samples = trace.samples
     assert len(trace.snapshot_samples()) == len(samples) - 1
@@ -765,9 +813,7 @@ def test_missing_start_snapshot_is_typed_error(monkeypatch, tmp_path, capsys, fa
     pair = ExperimentConfig.from_dict(_config_dict(
         perturbations=[{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}]
     ))
-    # the solver runs in forked spectrum workers, which see nothing this
-    # process learns after the fork, so the last samples' times come from a
-    # dry run of the deterministic flows
+    # the last samples' times come from a dry run of the deterministic flows
     base = build_base_metric(single)
     last_times = {
         flow_module.run_flow(perturb_metric(base, s.amplitude, s.seed)[0], single.flow)
@@ -781,7 +827,7 @@ def test_missing_start_snapshot_is_typed_error(monkeypatch, tmp_path, capsys, fa
             raise EigensolverError("injected failure")
         return real(stiffness, mass, k, tol, seed, t=t)
 
-    # the spectrum workers, the pair's included, inherit the patch
+    # every spectrum, the pair's included, is solved in this process
     monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
     with pytest.raises(EigensolverError):
         run_flow_experiment(single)

@@ -1,5 +1,3 @@
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -18,11 +16,10 @@ from ricciflow import (
     perturb_metric,
     rf_nrf_time_map,
     run_flow,
-    smallest_eigenpairs,
     solve_snapshots,
     step,
 )
-from ricciflow.flow import _Workspace, solve_sample, spectrum_pool
+from ricciflow.flow import _Workspace
 
 
 def test_velocity_zero_at_constant_curvature(tetra_metric, torus16_metric):
@@ -220,33 +217,6 @@ def test_run_flow_solves_no_eigenproblem(octagon0, monkeypatch):
     solve_snapshots(trace)
     assert [s.spectrum.t for s in trace.samples] == [s.t for s in trace.samples]
     assert trace.snapshot_samples() == trace.samples and not trace.warnings
-
-
-def test_worker_spectra_match_in_process_solves(octagon1):
-    # every spectrum along a flow is solved in a spectrum pool, with samples
-    # streamed in as the flow stores them or sent after it; either way each
-    # one is the in-process solve of the same sample, bit for bit
-    metric, _ = perturb_metric(octagon1, 0.02, 13)
-    config = FlowConfig(spectrum_every=10, k=8, seed=1)
-    with spectrum_pool(metric.mesh, metric.base_lengths, config) as pool:
-        solves = []
-        streamed = run_flow(
-            metric, config, on_sample=lambda s: solves.append(pool.submit(solve_sample, s.t, s.u))
-        )
-        solve_snapshots(streamed, solves)
-    afterwards = run_flow(metric, config)
-    solve_snapshots(afterwards)
-    assert not multiprocessing.active_children()
-    for trace in (streamed, afterwards):
-        assert len(trace.samples) > 3 and not trace.warnings
-        for i, s in enumerate(trace.samples):
-            want = smallest_eigenpairs(
-                *assemble_operators(trace.metric_at(i)),
-                config.k, tol=config.eig_tol, seed=config.seed, t=s.t,
-            )
-            assert s.spectrum.t == want.t == s.t
-            for field in ("eigenvalues", "eigenvectors", "residuals", "mass"):
-                assert np.array_equal(getattr(s.spectrum, field), getattr(want, field)), field
 
 
 def test_run_flow_step_size_rule(octagon0, monkeypatch):
