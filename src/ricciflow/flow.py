@@ -57,6 +57,8 @@ class FlowConfig:
         for name in positive:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.t_max + self.dt_min == self.t_max:
+            raise ValueError("dt_min cannot advance time at t_max, so a run might not end")
         integer_at_least(self.spectrum_every, 1, "spectrum_every")
         integer_at_least(self.k, 1, "k")
         integer_at_least(self.seed, 0, "seed")

@@ -23,23 +23,29 @@ DEFAULT_GAP_TOL = 1e-3  # relative to the largest computed eigenvalue
 class BranchSet:
     """Eigenvalue branches over the snapshot times of one flow.
 
-    ``values[b, j]`` is branch ``b`` at time ``times[j]``; ``vectors[j]`` is
-    the (n, k) eigenvector matrix at time j, columns permuted into branch
-    order with signs fixed along each branch. ``flagged[b, j]`` marks
-    overlap failures and near-degeneracies, where branch identity (and any
-    derivative along it) is unreliable. ``sorted_values`` is the ascending
-    relabeling.
+    ``values[b, j]`` is branch ``b`` at time ``times[j]``; ``vector(b, j)``
+    is its eigenvector, column ``columns[b, j]`` of snapshot j's own matrix
+    ``eigenvectors[j]`` (not a copy) times ``signs[b, j]``, ±1.0 and
+    continuous along each branch. ``flagged[b, j]`` marks overlap failures
+    and near-degeneracies, where branch identity (and any derivative along
+    it) is unreliable. ``sorted_values`` is the ascending relabeling.
     """
 
     times: np.ndarray
     values: np.ndarray
-    vectors: list
+    eigenvectors: list
+    columns: np.ndarray
+    signs: np.ndarray
     flagged: np.ndarray
     sorted_values: np.ndarray
 
     @property
     def k(self):
         return self.values.shape[0]
+
+    def vector(self, branch, j):
+        """Eigenvector of branch ``branch`` at time ``times[j]``, sign fixed."""
+        return self.eigenvectors[j][:, self.columns[branch, j]] * self.signs[branch, j]
 
 
 def track_branches(snapshots):
@@ -52,7 +58,9 @@ def track_branches(snapshots):
     to ascending-value matching and are flagged as crossings. Branches are
     additionally flagged wherever the gap to a sorted neighbor is below
     ``DEFAULT_GAP_TOL`` (relative to the largest eigenvalue at that time). A
-    single snapshot gives one-sample branches in eigenvalue order.
+    single snapshot gives one-sample branches in eigenvalue order. The
+    result refers to each snapshot's eigenvector matrix and stores only the
+    branch order and signs, so a run holds each matrix once.
     """
     if not snapshots:
         raise ValueError("need at least one snapshot to track branches")
@@ -65,13 +73,15 @@ def track_branches(snapshots):
     n_times = len(snapshots)
     values = np.empty((k, n_times))
     flagged = np.zeros((k, n_times), dtype=bool)
-    vectors = []
+    columns = np.empty((k, n_times), dtype=np.intp)
+    signs = np.ones((k, n_times))
 
     values[:, 0] = snapshots[0].eigenvalues
-    vectors.append(snapshots[0].eigenvectors.copy())
+    columns[:, 0] = np.arange(k)
+    # kept for one step; C-ordered at first, as the overlap's bits depend on layout
+    prev_vecs = snapshots[0].eigenvectors.copy()
 
     for j in range(1, n_times):
-        prev_vecs = vectors[j - 1]
         prev_vals = values[:, j - 1]
         snap = snapshots[j]
         inner = prev_vecs.T @ (snapshots[j - 1].mass[:, None] * snap.eigenvectors)
@@ -80,9 +90,10 @@ def track_branches(snapshots):
         )
         cols = np.array([assignment[b] for b in range(k)])
         # Keep signs continuous along each branch.
-        sign = np.where(inner[np.arange(k), cols] < 0.0, -1.0, 1.0)
+        signs[:, j] = sign = np.where(inner[np.arange(k), cols] < 0.0, -1.0, 1.0)
         values[:, j] = snap.eigenvalues[cols]
-        vectors.append(snap.eigenvectors[:, cols] * sign)
+        columns[:, j] = cols
+        prev_vecs = snap.eigenvectors[:, cols] * sign
         for b in crossing:
             flagged[b, j] = True
             flagged[b, j - 1] = True
@@ -102,7 +113,9 @@ def track_branches(snapshots):
     return BranchSet(
         times=times,
         values=values,
-        vectors=vectors,
+        eigenvectors=[s.eigenvectors for s in snapshots],
+        columns=columns,
+        signs=signs,
         flagged=flagged,
         sorted_values=np.sort(values, axis=0),
     )
@@ -197,7 +210,7 @@ def evolution_formula_residual(trace, branch_set, branch, time_index):
         )
 
     lam = branch_set.values[branch, time_index]
-    phi = branch_set.vectors[time_index][:, branch]
+    phi = branch_set.vector(branch, time_index)
     fld = samples[time_index].curvature
     rhs = lam * float(np.sum((fld.R - fld.r) * phi * phi * fld.dual_area))
 
@@ -278,7 +291,7 @@ def normalization_rate_residuals(trace, branch_set, branches):
         for b in branches:
             if branch_set.flagged[b, j - 1 : j + 2].any():
                 continue
-            phis = [v[:, b] for v in branch_set.vectors[j - 1 : j + 2]]
+            phis = [branch_set.vector(b, i) for i in range(j - 1, j + 2)]
             dphi = central_difference(branch_set.times[j - 1 : j + 2], phis)
             phi_mid = phis[1]
             lhs = 2.0 * float(np.sum(phi_mid * dphi * fld.dual_area))

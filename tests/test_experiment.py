@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -208,14 +209,22 @@ def test_dead_flow_process_is_typed_error(kind, monkeypatch, tmp_path, capsys):
 
 def _run_python(code, *args, timeout=120):
     """``python -c code args`` with this checkout's ricciflow; a hang fails
-    the calling test by ``timeout`` instead of stalling the suite."""
+    the calling test by ``timeout`` instead of stalling the suite. On timeout
+    the child's whole session is killed: a forked flow process outlives a
+    killed parent."""
     import ricciflow
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ricciflow.__file__)))
-    return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=timeout,
-    )
+    with subprocess.Popen(
+        [sys.executable, "-c", code, *map(str, args)], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as child:
+        try:
+            out, err = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(child.args, child.returncode, out, err)
 
 
 _WORKER_LIFECYCLE = """
@@ -339,10 +348,11 @@ def test_surfaces_match_in_process_runs(kind):
             for field in ("eigenvalues", "eigenvectors", "residuals", "mass"):
                 assert np.array_equal(getattr(got.spectrum, field),
                                       getattr(want.spectrum, field)), field
-        for field in ("times", "values", "flagged", "sorted_values"):
+        for field in ("times", "values", "columns", "signs", "flagged", "sorted_values"):
             assert np.array_equal(getattr(branch_set, field),
                                   getattr(expected_branches, field)), field
-        assert all(map(np.array_equal, branch_set.vectors, expected_branches.vectors))
+        for b, j in np.ndindex(branch_set.values.shape):
+            assert np.array_equal(branch_set.vector(b, j), expected_branches.vector(b, j))
 
 
 @pytest.mark.parametrize("kind", ["flow", "pair"])
@@ -606,6 +616,23 @@ def test_cli_flow_aborts_when_step_size_below_dt_min(tmp_path, capsys):
     assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "FlowAbortError"
+
+
+def test_cli_flow_rejects_dt_min_that_cannot_advance_time(tmp_path):
+    # t_max + dt_min == t_max: steps of dt_min could not move time forward
+    # near t_max, and the run would take about t_max/dt_init steps; the config
+    # is refused instead. The subprocess's timeout fails a regression rather
+    # than hanging the suite
+    cfg = tmp_path / "config.json"
+    flow = {"spectrum_every": 30, "k": 8, "seed": 3, "dt_init": 1e-300, "dt_min": 1e-301}
+    _write_config(cfg, _config_dict(flow=flow))
+    code = "import sys; from ricciflow.cli import main; sys.exit(main())"
+    done = _run_python(code, "flow", "--config", cfg, "--out", tmp_path / "out", "--quiet",
+                       timeout=60)
+    assert done.returncode == 2, done.stderr
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+    assert "Traceback" not in done.stderr
 
 
 _FLOW_KEYS = sorted(flow_module.FlowConfig.__dataclass_fields__)

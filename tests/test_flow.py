@@ -372,6 +372,12 @@ def test_flow_config_validation():
         FlowConfig(spectrum_every=0)
     with pytest.raises(ValueError):
         FlowConfig(t_max=float("nan"))
+    # a step of dt_min would not advance time at t_max, so a run might never end
+    with pytest.raises(ValueError, match="cannot advance"):
+        FlowConfig(dt_init=1e-300, dt_min=1e-301)
+    with pytest.raises(ValueError, match="cannot advance"):
+        FlowConfig(t_max=1e10, dt_min=1e-9)
+    FlowConfig(t_max=1e6, dt_min=1e-9)
     # json.load reads Infinity; a run with t_max = inf that cannot converge never ends
     for name in ("t_max", "dt_init", "convergence_tol", "eig_tol"):
         with pytest.raises(ValueError, match="finite"):

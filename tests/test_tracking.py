@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,33 @@ from ricciflow.tracking import (
 
 def _snapshots(run):
     return run["trace"].snapshots()
+
+
+def test_track_branches_keeps_one_copy_of_each_eigenvector_matrix(run1):
+    # a branch set refers to the snapshots' own eigenvector matrices and
+    # stores only each branch's column and sign, not a permuted copy per time
+    snaps = _snapshots(run1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        branches = track_branches(snaps)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(snaps) > 2 and kept < snaps[0].eigenvectors.nbytes
+    assert len(branches.eigenvectors) == len(snaps)
+    k = branches.k
+    for j, snap in enumerate(snaps):
+        assert branches.eigenvectors[j] is snap.eigenvectors
+        assert np.array_equal(np.sort(branches.columns[:, j]), np.arange(k))
+        for b in range(k):
+            column = snap.eigenvectors[:, branches.columns[b, j]]
+            sign = branches.signs[b, j]
+            assert sign in (-1.0, 1.0)
+            assert np.array_equal(branches.vector(b, j), sign * column)
+            if j and not branches.flagged[b, j - 1 : j + 1].any():
+                previous = branches.vector(b, j - 1)
+                assert previous @ (snaps[j - 1].mass * branches.vector(b, j)) > 0.0
 
 
 def test_identical_snapshots_identity_assignment(run1):
@@ -78,6 +106,16 @@ def test_branch_order_stable_when_gaps_large(run1):
         assert np.allclose(branches.values[b], branches.sorted_values[b])
 
 
+def _no_vectors(values):
+    # branch values alone: no snapshot matrices, identity order, no sign flips
+    k, n_times = values.shape
+    return {
+        "eigenvectors": [None] * n_times,
+        "columns": np.tile(np.arange(k)[:, None], n_times),
+        "signs": np.ones((k, n_times)),
+    }
+
+
 def test_log_derivative_constant_branch():
     times = np.linspace(0.0, 1.0, 11)
     values = np.full((3, 11), 2.0)
@@ -85,7 +123,7 @@ def test_log_derivative_constant_branch():
     bs = BranchSet(
         times=times,
         values=values,
-        vectors=[None] * 11,
+        **_no_vectors(values),
         flagged=np.zeros((3, 11), dtype=bool),
         sorted_values=np.sort(values, axis=0),
     )
@@ -99,7 +137,7 @@ def test_log_derivative_exponential_branch():
     bs = BranchSet(
         times=times,
         values=values,
-        vectors=[None] * 26,
+        **_no_vectors(values),
         flagged=np.zeros((2, 26), dtype=bool),
         sorted_values=np.sort(values, axis=0),
     )
@@ -115,7 +153,7 @@ def test_log_derivative_crossing_guard():
     bs = BranchSet(
         times=times,
         values=values,
-        vectors=[None] * 5,
+        **_no_vectors(values),
         flagged=flagged,
         sorted_values=values,
     )
@@ -167,13 +205,7 @@ def test_evolution_formula_crossing_error(run1):
     j = min(5, branches.times.shape[0] - 2)
     flagged = branches.flagged.copy()
     flagged[2, j] = True
-    rigged = BranchSet(
-        times=branches.times,
-        values=branches.values,
-        vectors=branches.vectors,
-        flagged=flagged,
-        sorted_values=branches.sorted_values,
-    )
+    rigged = dataclasses.replace(branches, flagged=flagged)
     with pytest.raises(BranchCrossingError):
         evolution_formula_residual(trace, rigged, 2, j)
 
@@ -222,8 +254,11 @@ def test_track_single_snapshot(run1):
         assert np.array_equal(branches.times, [one.t])
         assert np.array_equal(branches.values, one.eigenvalues[:, None])
         assert np.array_equal(branches.sorted_values, branches.values)
-        assert len(branches.vectors) == 1
-        assert np.array_equal(branches.vectors[0], one.eigenvectors)
+        assert len(branches.eigenvectors) == 1 and branches.eigenvectors[0] is one.eigenvectors
+        assert np.array_equal(branches.columns, np.arange(one.k)[:, None])
+        assert np.array_equal(branches.signs, np.ones((one.k, 1)))
+        for b in range(one.k):
+            assert np.array_equal(branches.vector(b, 0), one.eigenvectors[:, b])
         # flagged exactly where another value lies within the relative gap
         vals = one.eigenvalues
         near = np.abs(vals[:, None] - vals[None, :]) < DEFAULT_GAP_TOL * vals.max()
