@@ -35,6 +35,7 @@ from .reporting import (
 from .tracking import (
     DEFAULT_GAP_TOL,
     DEFAULT_OVERLAP_MIN,
+    BranchTracker,
     dual_area_rate_residuals,
     evolution_residual_median,
     normalization_rate_residuals,
@@ -222,17 +223,19 @@ def fork_context():
 def _run_surfaces(config, base, specs, progress=None):
     """One ``(metric, window, trace, branch_set)`` per perturbation spec of ``base``.
 
-    Each flow runs in its own ``_flow_process``, and this process solves the
-    samples as they arrive. A flow's own error is raised here, a flow process
+    Each flow runs in its own ``_flow_process``; this process solves the
+    samples as they arrive and tracks each spectrum at once, so no trace keeps
+    an eigenvector matrix. A flow's own error is raised here, a flow process
     that dies raises FlowAbortError, and every one is joined on every way out.
     """
     context = fork_context()
     processes, pipes, pending = [], {}, []  # pending: (surface, t, u) not yet solved
     outcomes, results = [[] for _ in specs], [None] * len(specs)
+    trackers = [BranchTracker(bnd.checked_branches(config.flow.k)) for _ in specs]
     try:
         for i, spec in enumerate(specs):
             receiver, sender = context.Pipe(duplex=False)
-            args = (sender, config, base, spec, progress is not None)
+            args = (sender, [*pipes, receiver], config, base, spec, progress is not None)
             processes.append(context.Process(target=_flow_process, args=args))
             processes[-1].start()
             sender.close()  # the flow process now holds the only write end: its death is EOF
@@ -260,7 +263,11 @@ def _run_surfaces(config, base, specs, progress=None):
                         pipe.close()
             if pending:
                 i, t, u = pending.pop(0)
-                outcomes[i].append(solve_sample(base.mesh, base.base_lengths, config.flow, t, u))
+                outcome = solve_sample(base.mesh, base.base_lengths, config.flow, t, u)
+                if not isinstance(outcome, Exception):  # a failure is left to solve_snapshots
+                    trackers[i].add(outcome)
+                    outcome = replace(outcome, eigenvectors=None)
+                outcomes[i].append(outcome)
     finally:
         for pipe, i in pipes.items():
             processes[i].terminate()
@@ -269,27 +276,32 @@ def _run_surfaces(config, base, specs, progress=None):
             process.join()
 
     surfaces = []
-    for (u, window, trace), solved in zip(results, outcomes):
+    for (u, window, trace), solved, tracker in zip(results, outcomes, trackers):
         trace = replace(trace, mesh=base.mesh)
         solve_snapshots(trace, solved)
-        surfaces.append((base.with_u(u), window, trace, track_branches(trace.snapshots())))
+        surfaces.append((base.with_u(u), window, trace, track_branches(tracker)))
     return surfaces
 
 
-def _flow_process(pipe, config, base, spec, report_progress):
+def _flow_process(pipe, receivers, config, base, spec, report_progress):
     """Perturb ``base`` by ``spec`` and run the flow, which sends ``("sample", t, u)``
     and, if asked, ``("progress", t, max_dev, dt)`` down ``pipe``; then send
-    ``("done", u, window, trace without the mesh)`` or ``("error", exc)``."""
+    ``("done", u, window, trace without the mesh)`` or ``("error", exc)``. The
+    read ends the fork copied, ``receivers``, are closed first, so that once the
+    parent is gone a send raises BrokenPipeError, which ends the process."""
+    for receiver in receivers:
+        receiver.close()
     try:
-        metric, window = perturb_metric(base, spec.amplitude, spec.seed)
-        trace = run_flow(
-            metric, config.flow,
-            progress=(lambda *state: pipe.send(("progress", *state))) if report_progress else None,
-            on_sample=lambda s: pipe.send(("sample", s.t, s.u)),
-        )
-        pipe.send(("done", metric.u, window, replace(trace, mesh=None)))
-    except Exception as exc:  # the parent raises it as the flow's own error
-        pipe.send(("error", exc))
+        try:
+            metric, window = perturb_metric(base, spec.amplitude, spec.seed)
+            progress = (lambda *state: pipe.send(("progress", *state))) if report_progress else None
+            trace = run_flow(metric, config.flow, progress=progress,
+                             on_sample=lambda s: pipe.send(("sample", s.t, s.u)))
+            pipe.send(("done", metric.u, window, replace(trace, mesh=None)))
+        except Exception as exc:  # the parent raises it as the flow's own error
+            pipe.send(("error", exc))
+    except BrokenPipeError:
+        pass  # the parent died: nothing reads this flow any more
 
 
 def _surface_block(config, window, trace, branch_set):

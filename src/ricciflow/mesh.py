@@ -89,10 +89,12 @@ class TriangleMesh:
         tails = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 0]])
         he_tri = np.tile(np.arange(f_count, dtype=np.int64), 3)
 
-        undirected = np.sort(np.stack([heads, tails], axis=1), axis=1)
-        edges, inverse, counts = np.unique(
-            undirected, axis=0, return_inverse=True, return_counts=True
+        # One integer key per undirected edge; sorting keys sorts (lo, hi) rows.
+        keys, inverse, counts = np.unique(
+            np.minimum(heads, tails) * vertex_count + np.maximum(heads, tails),
+            return_inverse=True, return_counts=True,
         )
+        edges = np.stack([keys // vertex_count, keys % vertex_count], axis=1)
         if np.any(counts > 2):
             bad = edges[np.argmax(counts > 2)]
             raise NonManifoldError(

@@ -23,17 +23,18 @@ DEFAULT_GAP_TOL = 1e-3  # relative to the largest computed eigenvalue
 class BranchSet:
     """Eigenvalue branches over the snapshot times of one flow.
 
-    ``values[b, j]`` is branch ``b`` at time ``times[j]``; ``vector(b, j)``
-    is its eigenvector, column ``columns[b, j]`` of snapshot j's own matrix
-    ``eigenvectors[j]`` (not a copy) times ``signs[b, j]``, ±1.0 and
-    continuous along each branch. ``flagged[b, j]`` marks overlap failures
-    and near-degeneracies, where branch identity (and any derivative along
-    it) is unreliable. ``sorted_values`` is the ascending relabeling.
+    ``values[b, j]`` is branch ``b`` at time ``times[j]``, column ``columns[b, j]``
+    of snapshot j, whose eigenvector times ``signs[b, j]`` (±1.0) is continuous
+    along the branch. ``vectors[j]`` holds one such vector per kept branch (row i
+    for ``branches[i]``), and ``vector(b, j)`` returns branch b's. ``flagged[b, j]``
+    marks overlap failures and near-degeneracies, where branch identity (and any
+    derivative along it) is unreliable. ``sorted_values`` is the ascending relabeling.
     """
 
     times: np.ndarray
     values: np.ndarray
-    eigenvectors: list
+    branches: tuple
+    vectors: list
     columns: np.ndarray
     signs: np.ndarray
     flagged: np.ndarray
@@ -44,11 +45,56 @@ class BranchSet:
         return self.values.shape[0]
 
     def vector(self, branch, j):
-        """Eigenvector of branch ``branch`` at time ``times[j]``, sign fixed."""
-        return self.eigenvectors[j][:, self.columns[branch, j]] * self.signs[branch, j]
+        """Eigenvector of kept branch ``branch`` at time ``times[j]``, sign fixed."""
+        if branch not in self.branches:
+            raise KeyError(f"branch {branch} was not kept; kept branches: {list(self.branches)}")
+        return self.vectors[j][self.branches.index(branch)]
 
 
-def track_branches(snapshots):
+class BranchTracker:
+    """Branches of spectrum snapshots added one at a time, in time order.
+
+    ``add`` matches a snapshot to the previous one (see ``track_branches``);
+    only the vectors of ``branches`` (every branch if None) outlive the next
+    ``add``, so a caller may drop each eigenvector matrix once it is added.
+    """
+
+    def __init__(self, branches=None):
+        self.branches = None if branches is None else tuple(branches)
+        self.times, self.values, self.columns, self.signs, self.vectors = [], [], [], [], []
+        self.crossings = []  # (branch, j): no overlap match from time j - 1 to j
+        self._prev = None  # (permuted, signed eigenvectors, mass) of the last snapshot
+
+    def add(self, snap):
+        """Match ``snap`` to the previous snapshot and record its branches."""
+        if snap.eigenvectors is None:
+            raise ValueError(f"snapshot at t={snap.t:.6g} has no eigenvectors to track")
+        k, n = snap.k, snap.eigenvectors.shape[0]
+        if self._prev is None:
+            self.branches = tuple(range(k)) if self.branches is None else self.branches
+            cols, sign = np.arange(k), np.ones(k)
+            # C-ordered, as the next overlap's bits depend on its layout
+            vecs = snap.eigenvectors.copy()
+        else:
+            prev_vecs, prev_mass = self._prev
+            if (k, n) != (len(self.values[-1]), prev_vecs.shape[0]):
+                raise ValueError("snapshots disagree on k or mesh size")
+            inner = prev_vecs.T @ (prev_mass[:, None] * snap.eigenvectors)
+            assignment, crossing = _greedy_assign(np.abs(inner), self.values[-1], snap.eigenvalues)
+            cols = np.array([assignment[b] for b in range(k)])
+            # Keep signs continuous along each branch.
+            sign = np.where(inner[np.arange(k), cols] < 0.0, -1.0, 1.0)
+            vecs = snap.eigenvectors[:, cols] * sign
+            self.crossings += [(b, len(self.times)) for b in crossing]
+        self._prev = vecs, snap.mass
+        self.times.append(snap.t)
+        self.values.append(snap.eigenvalues[cols])
+        self.columns.append(cols)
+        self.signs.append(sign)
+        self.vectors.append(np.ascontiguousarray(vecs[:, list(self.branches)].T))
+
+
+def track_branches(snapshots, branches=None):
     """Connect eigenvalues across snapshots by eigenvector overlap.
 
     Consecutive snapshots are matched greedily on the overlap matrix
@@ -58,48 +104,26 @@ def track_branches(snapshots):
     to ascending-value matching and are flagged as crossings. Branches are
     additionally flagged wherever the gap to a sorted neighbor is below
     ``DEFAULT_GAP_TOL`` (relative to the largest eigenvalue at that time). A
-    single snapshot gives one-sample branches in eigenvalue order. The
-    result refers to each snapshot's eigenvector matrix and stores only the
-    branch order and signs, so a run holds each matrix once.
+    single snapshot gives one-sample branches in eigenvalue order.
+
+    ``snapshots`` is a time-ordered list, fed here to a ``BranchTracker``
+    that keeps the vectors of ``branches`` (every branch if None), or a
+    tracker already fed, as a run tracks each spectrum when it is solved.
     """
-    if not snapshots:
+    tracker = snapshots
+    if not isinstance(tracker, BranchTracker):
+        tracker = BranchTracker(branches)
+        for snap in snapshots:
+            tracker.add(snap)
+    if not tracker.times:
         raise ValueError("need at least one snapshot to track branches")
-    k = snapshots[0].k
-    n = snapshots[0].eigenvectors.shape[0]
-    for snap in snapshots:
-        if snap.k != k or snap.eigenvectors.shape[0] != n:
-            raise ValueError("snapshots disagree on k or mesh size")
-
-    n_times = len(snapshots)
-    values = np.empty((k, n_times))
-    flagged = np.zeros((k, n_times), dtype=bool)
-    columns = np.empty((k, n_times), dtype=np.intp)
-    signs = np.ones((k, n_times))
-
-    values[:, 0] = snapshots[0].eigenvalues
-    columns[:, 0] = np.arange(k)
-    # kept for one step; C-ordered at first, as the overlap's bits depend on layout
-    prev_vecs = snapshots[0].eigenvectors.copy()
-
-    for j in range(1, n_times):
-        prev_vals = values[:, j - 1]
-        snap = snapshots[j]
-        inner = prev_vecs.T @ (snapshots[j - 1].mass[:, None] * snap.eigenvectors)
-        assignment, crossing = _greedy_assign(
-            np.abs(inner), prev_vals, snap.eigenvalues
-        )
-        cols = np.array([assignment[b] for b in range(k)])
-        # Keep signs continuous along each branch.
-        signs[:, j] = sign = np.where(inner[np.arange(k), cols] < 0.0, -1.0, 1.0)
-        values[:, j] = snap.eigenvalues[cols]
-        columns[:, j] = cols
-        prev_vecs = snap.eigenvectors[:, cols] * sign
-        for b in crossing:
-            flagged[b, j] = True
-            flagged[b, j - 1] = True
+    values = np.stack(tracker.values, axis=1)
+    flagged = np.zeros(values.shape, dtype=bool)
+    for b, j in tracker.crossings:
+        flagged[b, j - 1 : j + 1] = True
 
     # Flag unresolvably close neighbors, where branch identity means little.
-    for j in range(n_times):
+    for j in range(values.shape[1]):
         scale = max(values[:, j].max(), 1e-300)
         order = np.argsort(values[:, j], kind="stable")
         sorted_vals = values[order, j]
@@ -109,13 +133,13 @@ def track_branches(snapshots):
             flagged[order[pos], j] = True
             flagged[order[pos + 1], j] = True
 
-    times = np.array([s.t for s in snapshots])
     return BranchSet(
-        times=times,
+        times=np.array(tracker.times),
         values=values,
-        eigenvectors=[s.eigenvectors for s in snapshots],
-        columns=columns,
-        signs=signs,
+        branches=tracker.branches,
+        vectors=list(tracker.vectors),
+        columns=np.stack(tracker.columns, axis=1),
+        signs=np.stack(tracker.signs, axis=1),
         flagged=flagged,
         sorted_values=np.sort(values, axis=0),
     )

@@ -23,7 +23,6 @@ from ricciflow import (
     rf_nrf_time_map,
     scale_metric,
     smallest_eigenpairs,
-    track_branches,
 )
 from ricciflow.bounds import envelope_check
 from ricciflow.experiment import ExperimentConfig, pde_residual_median, run_pair_experiment
@@ -158,12 +157,10 @@ def test_criterion_04_hamilton_convergence(level3):
 
 def test_criterion_05_spectral_evolution_formula(level3, level2):
     branches = list(range(1, 6))
-    bs3 = track_branches(level3.trace.snapshots())
-    med3, n3 = evolution_residual_median(level3.trace, bs3, branches)
+    med3, n3 = evolution_residual_median(level3.trace, level3.branch_set, branches)
     assert n3 >= 20
     assert med3 <= 0.05
-    bs2 = track_branches(level2.trace.snapshots())
-    med2, _ = evolution_residual_median(level2.trace, bs2, branches)
+    med2, _ = evolution_residual_median(level2.trace, level2.branch_set, branches)
     assert med2 / med3 >= 1.5  # one mesh refinement + one time-step halving
     _passed(5, "spectral evolution formula")
 

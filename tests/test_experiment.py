@@ -4,15 +4,17 @@ import io
 import json
 import os
 import pickle
+import select
 import shutil
 import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricciflow import ConfigError, EigensolverError, HypothesisError
+from ricciflow import ConfigError, EigensolverError, HypothesisError, SpectrumSnapshot
+from ricciflow import bounds as bnd
 from ricciflow import errors as errors_module
 from ricciflow import flow as flow_module
 from ricciflow.audit import audit_directory
@@ -334,7 +337,8 @@ def test_surfaces_match_in_process_runs(kind):
         expected_metric, expected_window = perturb_metric(base, spec.amplitude, spec.seed)
         expected = flow_module.run_flow(expected_metric, config.flow)
         flow_module.solve_snapshots(expected)
-        expected_branches = track_branches(expected.snapshots())
+        checked = bnd.checked_branches(config.flow.k)
+        expected_branches = track_branches(expected.snapshots(), branches=checked)
         if kind == "flow":  # the pair merges the two windows
             assert window == expected_window
         assert trace.converged and expected.converged and trace.warnings == expected.warnings
@@ -345,14 +349,37 @@ def test_surfaces_match_in_process_runs(kind):
         assert len(trace.samples) == len(expected.samples)
         for got, want in zip(trace.samples, expected.samples):
             assert got.t == want.t and np.array_equal(got.u, want.u)
-            for field in ("eigenvalues", "eigenvectors", "residuals", "mass"):
+            # tracked as it was solved, the spectrum is kept without its vectors
+            assert got.spectrum.eigenvectors is None
+            for field in (f.name for f in fields(SpectrumSnapshot) if f.name != "eigenvectors"):
                 assert np.array_equal(getattr(got.spectrum, field),
                                       getattr(want.spectrum, field)), field
         for field in ("times", "values", "columns", "signs", "flagged", "sorted_values"):
             assert np.array_equal(getattr(branch_set, field),
                                   getattr(expected_branches, field)), field
-        for b, j in np.ndindex(branch_set.values.shape):
-            assert np.array_equal(branch_set.vector(b, j), expected_branches.vector(b, j))
+        assert branch_set.branches == expected_branches.branches == tuple(checked)
+        for b in checked:
+            for j in range(len(branch_set.times)):
+                assert np.array_equal(branch_set.vector(b, j), expected_branches.vector(b, j))
+
+
+def test_flow_experiment_keeps_only_checked_branch_vectors():
+    # each spectrum is tracked as soon as it is solved and its eigenvector
+    # matrix dropped: a run keeps one vector per checked branch and time
+    flow = {"spectrum_every": 200, "k": 8, "seed": 3}
+    config = ExperimentConfig.from_dict(
+        _config_dict(mesh={"generator": "genus2", "level": 2}, flow=flow)
+    )
+    artifacts = run_flow_experiment(config)
+    snapshots, branch_set = artifacts.trace.snapshots(), artifacts.branch_set
+    checked = bnd.checked_branches(config.flow.k)
+    n = artifacts.trace.mesh.vertex_count
+    assert len(snapshots) == len(branch_set.times) > 2
+    assert all(snap.eigenvectors is None for snap in snapshots)
+    assert sum(v.nbytes for v in branch_set.vectors) == len(snapshots) * len(checked) * n * 8
+    for j in range(len(snapshots)):
+        with pytest.raises(KeyError, match="kept branches"):
+            branch_set.vector(0, j)
 
 
 @pytest.mark.parametrize("kind", ["flow", "pair"])
@@ -633,6 +660,54 @@ def test_cli_flow_rejects_dt_min_that_cannot_advance_time(tmp_path):
     lines = done.stdout.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
     assert "Traceback" not in done.stderr
+
+
+def _live_session_processes(sid):
+    """Pids of the processes of session ``sid`` that are not zombies, from /proc."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as fh:
+                state, _, _, session = fh.read().rsplit(")", 1)[1].split()[:4]
+        except OSError:  # the process has ended
+            continue
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_flow_process_ends_when_its_parent_is_killed(tmp_path):
+    # a killed CLI runs no `finally` that could stop its flow process; that
+    # process must end by itself at its next send instead of running on, or
+    # blocking for good on a pipe that nobody reads. The CLI runs in a session
+    # of its own, which the test kills whole on every way out
+    cfg = tmp_path / "config.json"
+    flow = {"spectrum_every": 20, "k": 8, "seed": 3, "t_max": 20.0, "convergence_tol": 1e-12}
+    _write_config(cfg, _config_dict(mesh={"generator": "genus2", "level": 2}, flow=flow))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flow_module.__file__)))
+    code = "import sys; from ricciflow.cli import main; sys.exit(main())"
+    cli = subprocess.Popen(
+        [sys.executable, "-c", code, "flow", "--config", str(cfg)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+    )
+    try:
+        # the first progress line comes after 2000 steps: the flow is running
+        assert select.select([cli.stdout], [], [], 60)[0], "no progress within 60 s"
+        assert cli.stdout.readline().startswith("  t=")
+        assert len(_live_session_processes(cli.pid)) >= 2  # the CLI and its flow process
+        os.kill(cli.pid, signal.SIGKILL)
+        cli.wait(timeout=10)
+        deadline = time.monotonic() + 30
+        while _live_session_processes(cli.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _live_session_processes(cli.pid) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(cli.pid, signal.SIGKILL)
+        cli.wait()
+        cli.stdout.close()
 
 
 _FLOW_KEYS = sorted(flow_module.FlowConfig.__dataclass_fields__)

@@ -236,6 +236,37 @@ def test_edges_sorted_lexicographically():
     assert (mesh.edges[:, 0] < mesh.edges[:, 1]).all()
 
 
+def _row_unique_edges(triangles):
+    """Edges, half-edge inverse and counts by ``np.unique`` over sorted rows."""
+    heads = np.concatenate([triangles[:, 0], triangles[:, 1], triangles[:, 2]])
+    tails = np.concatenate([triangles[:, 1], triangles[:, 2], triangles[:, 0]])
+    undirected = np.sort(np.stack([heads, tails], axis=1), axis=1)
+    return np.unique(undirected, axis=0, return_inverse=True, return_counts=True)
+
+
+@pytest.mark.parametrize("source", [0, 1, 2, 3, "genus2.off"])
+def test_edge_keys_match_row_unique(source):
+    # one integer key per edge stands in for np.unique over (lo, hi) rows;
+    # every edge array must come out the same, dtype included
+    if source == "genus2.off":
+        mesh, _ = load_off(os.path.join(DATA, source))
+    else:
+        mesh, _ = generate_genus2(source)
+    edges, inverse, counts = _row_unique_edges(mesh.triangles)
+    f_count = mesh.triangle_count
+    half_edge_triangles = np.tile(np.arange(f_count, dtype=np.int64), 3)
+    order = np.argsort(inverse, kind="stable")
+    expected = {
+        "edges": edges,
+        "triangle_edges": inverse.reshape(3, f_count).T[:, [1, 2, 0]],
+        "edge_triangles": half_edge_triangles[order].reshape(-1, 2),
+    }
+    for name, want in expected.items():
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (counts == 2).all()
+
+
 def test_triangle_edges_oppose_corners():
     mesh, _ = generate_genus2(0)
     for t in range(0, mesh.triangle_count, 7):

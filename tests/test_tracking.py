@@ -13,6 +13,7 @@ from ricciflow import (
 from ricciflow.tracking import (
     DEFAULT_GAP_TOL,
     BranchSet,
+    BranchTracker,
     dual_area_rate_residuals,
     evolution_residual_median,
     normalization_rate_residuals,
@@ -23,31 +24,66 @@ def _snapshots(run):
     return run["trace"].snapshots()
 
 
-def test_track_branches_keeps_one_copy_of_each_eigenvector_matrix(run1):
-    # a branch set refers to the snapshots' own eigenvector matrices and
-    # stores only each branch's column and sign, not a permuted copy per time
+def test_track_branches_keeps_only_the_kept_branches_vectors(run1):
+    # a branch set holds no eigenvector matrix: one row per kept branch and
+    # time, copied out of the snapshot, and each branch's column and sign
     snaps = _snapshots(run1)
+    kept_branches = [1, 2, 3, 4, 5]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        branches = track_branches(snaps)
+        branches = track_branches(snaps, branches=kept_branches)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(snaps) > 2 and kept < snaps[0].eigenvectors.nbytes
-    assert len(branches.eigenvectors) == len(snaps)
-    k = branches.k
+    n, k = snaps[0].eigenvectors.shape
+    row_bytes = len(snaps) * len(kept_branches) * n * 8
+    assert len(snaps) > 2 and branches.branches == tuple(kept_branches)
+    assert sum(v.nbytes for v in branches.vectors) == row_bytes
+    # the tracker's last permuted matrix does not outlive it
+    assert kept < row_bytes + snaps[0].eigenvectors.nbytes // 2
     for j, snap in enumerate(snaps):
-        assert branches.eigenvectors[j] is snap.eigenvectors
+        assert branches.vectors[j].shape == (len(kept_branches), n)
+        assert branches.vectors[j].flags.c_contiguous
+        assert not np.shares_memory(branches.vectors[j], snap.eigenvectors)
         assert np.array_equal(np.sort(branches.columns[:, j]), np.arange(k))
         for b in range(k):
-            column = snap.eigenvectors[:, branches.columns[b, j]]
             sign = branches.signs[b, j]
             assert sign in (-1.0, 1.0)
+            if b not in kept_branches:
+                with pytest.raises(KeyError, match=r"kept branches: \[1, 2, 3, 4, 5\]"):
+                    branches.vector(b, j)
+                continue
+            column = snap.eigenvectors[:, branches.columns[b, j]]
             assert np.array_equal(branches.vector(b, j), sign * column)
             if j and not branches.flagged[b, j - 1 : j + 1].any():
                 previous = branches.vector(b, j - 1)
                 assert previous @ (snaps[j - 1].mass * branches.vector(b, j)) > 0.0
+
+
+def test_tracker_fed_one_snapshot_at_a_time_matches_batch_tracking(run1):
+    # a run feeds each spectrum to a tracker as soon as it is solved; the
+    # result must be batch tracking's, bit for bit, vectors included
+    snaps = _snapshots(run1)
+    checked = [1, 2, 3, 4, 5]
+    tracker = BranchTracker(checked)
+    for snap in snaps:
+        tracker.add(snap)
+    streamed = track_branches(tracker)
+    batch = track_branches(snaps, branches=checked)
+    every = track_branches(snaps)
+    fields = ("times", "values", "columns", "signs", "flagged", "sorted_values")
+    for field in fields:
+        assert np.array_equal(getattr(streamed, field), getattr(batch, field)), field
+        assert np.array_equal(getattr(streamed, field), getattr(every, field)), field
+    assert streamed.branches == batch.branches == tuple(checked)
+    assert every.branches == tuple(range(every.k))
+    for j, snap in enumerate(snaps):
+        assert np.array_equal(streamed.vectors[j], batch.vectors[j])
+        for b in checked:
+            want = snap.eigenvectors[:, streamed.columns[b, j]] * streamed.signs[b, j]
+            assert np.array_equal(streamed.vector(b, j), want)
+            assert np.array_equal(every.vector(b, j), want)
 
 
 def test_identical_snapshots_identity_assignment(run1):
@@ -107,10 +143,11 @@ def test_branch_order_stable_when_gaps_large(run1):
 
 
 def _no_vectors(values):
-    # branch values alone: no snapshot matrices, identity order, no sign flips
+    # branch values alone: no kept vectors, identity order, no sign flips
     k, n_times = values.shape
     return {
-        "eigenvectors": [None] * n_times,
+        "branches": (),
+        "vectors": [np.empty((0, 0))] * n_times,
         "columns": np.tile(np.arange(k)[:, None], n_times),
         "signs": np.ones((k, n_times)),
     }
@@ -238,7 +275,9 @@ def test_track_requires_matching_snapshots(run1):
         residuals=snap.residuals,
         mass=snap.mass[:-1],
     )
-    for snaps in ([], [snap, fewer_modes], [snap, fewer_vertices]):
+    # an experiment's trace keeps its snapshots without their eigenvectors
+    no_vectors = dataclasses.replace(snap, eigenvectors=None)
+    for snaps in ([], [snap, fewer_modes], [snap, fewer_vertices], [no_vectors]):
         with pytest.raises(ValueError):
             track_branches(snaps)
 
@@ -254,7 +293,8 @@ def test_track_single_snapshot(run1):
         assert np.array_equal(branches.times, [one.t])
         assert np.array_equal(branches.values, one.eigenvalues[:, None])
         assert np.array_equal(branches.sorted_values, branches.values)
-        assert len(branches.eigenvectors) == 1 and branches.eigenvectors[0] is one.eigenvectors
+        assert branches.branches == tuple(range(one.k)) and len(branches.vectors) == 1
+        assert not np.shares_memory(branches.vectors[0], one.eigenvectors)
         assert np.array_equal(branches.columns, np.arange(one.k)[:, None])
         assert np.array_equal(branches.signs, np.ones((one.k, 1)))
         for b in range(one.k):
