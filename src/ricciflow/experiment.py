@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .errors import ConfigError, FlowAbortError, HypothesisError
-from .flow import FlowConfig, integer_at_least, monotonicity_violations, real_number
+from .flow import FlowConfig, FlowTrace, integer_at_least, monotonicity_violations, real_number
 from .flow import run_flow, solve_sample, solve_snapshots
 from .geometry import ConformalMetric, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
@@ -223,14 +223,19 @@ def fork_context():
 def _run_surfaces(config, base, specs, progress=None):
     """One ``(metric, window, trace, branch_set)`` per perturbation spec of ``base``.
 
-    Each flow runs in its own ``_flow_process``; this process solves the
-    samples as they arrive and tracks each spectrum at once, so no trace keeps
-    an eigenvector matrix. A flow's own error is raised here, a flow process
-    that dies raises FlowAbortError, and every one is joined on every way out.
+    Each flow runs in its own ``_flow_process``, which sends each sample as it
+    stores it; this process builds the trace from those samples, solves each
+    as it arrives and tracks its spectrum at once, with the sample's
+    curvature field, so that the residual stencils are evaluated as they
+    complete. No trace keeps an eigenvector matrix or a mass diagonal, and no
+    branch set keeps a vector. A flow's own error is raised here, a flow
+    process that dies raises FlowAbortError, and every one is joined on every
+    way out.
     """
     context = fork_context()
-    processes, pipes, pending = [], {}, []  # pending: (surface, t, u) not yet solved
-    outcomes, results = [[] for _ in specs], [None] * len(specs)
+    processes, pipes, pending = [], {}, []  # pending: (surface, sample) not yet solved
+    windows, ends = [None] * len(specs), [None] * len(specs)
+    samples, outcomes = [[] for _ in specs], [[] for _ in specs]
     trackers = [BranchTracker(bnd.checked_branches(config.flow.k)) for _ in specs]
     try:
         for i, spec in enumerate(specs):
@@ -252,21 +257,25 @@ def _run_surfaces(config, base, specs, progress=None):
                             f"a flow worker process ended abruptly; unflowed surfaces: [{i + 1}]"
                         ) from None
                     if kind == "sample":
-                        pending.append((i, *body))
+                        samples[i].append(body[0])
+                        pending.append((i, body[0]))
+                    elif kind == "window":
+                        windows[i] = body[0]
                     elif kind == "progress":
                         progress(*body)
                     elif kind == "error":
                         raise body[0]
                     else:  # "done"
-                        results[i] = body
+                        ends[i] = body
                         del pipes[pipe]
                         pipe.close()
             if pending:
-                i, t, u = pending.pop(0)
-                outcome = solve_sample(base.mesh, base.base_lengths, config.flow, t, u)
+                i, sample = pending.pop(0)
+                outcome = solve_sample(base.mesh, base.base_lengths, config.flow, sample.t,
+                                       sample.u)
                 if not isinstance(outcome, Exception):  # a failure is left to solve_snapshots
-                    trackers[i].add(outcome)
-                    outcome = replace(outcome, eigenvectors=None)
+                    trackers[i].add(outcome, sample.curvature)
+                    outcome = replace(outcome, eigenvectors=None, mass=None)
                 outcomes[i].append(outcome)
     finally:
         for pipe, i in pipes.items():
@@ -276,28 +285,34 @@ def _run_surfaces(config, base, specs, progress=None):
             process.join()
 
     surfaces = []
-    for (u, window, trace), solved, tracker in zip(results, outcomes, trackers):
-        trace = replace(trace, mesh=base.mesh)
+    for stored, (steps, converged, warnings), solved, window, tracker in zip(
+        samples, ends, outcomes, windows, trackers
+    ):
+        trace = FlowTrace(base.mesh, base.base_lengths, config.flow, steps, stored, converged,
+                          warnings)
         solve_snapshots(trace, solved)
-        surfaces.append((base.with_u(u), window, trace, track_branches(tracker)))
+        surfaces.append((base.with_u(stored[0].u), window, trace, track_branches(tracker)))
     return surfaces
 
 
 def _flow_process(pipe, receivers, config, base, spec, report_progress):
-    """Perturb ``base`` by ``spec`` and run the flow, which sends ``("sample", t, u)``
-    and, if asked, ``("progress", t, max_dev, dt)`` down ``pipe``; then send
-    ``("done", u, window, trace without the mesh)`` or ``("error", exc)``. The
-    read ends the fork copied, ``receivers``, are closed first, so that once the
-    parent is gone a send raises BrokenPipeError, which ends the process."""
+    """Perturb ``base`` by ``spec``, send ``("window", (alpha, beta))`` and run
+    the flow, which sends each ``("sample", FlowSample)`` as it stores it and,
+    if asked, ``("progress", t, max_dev, dt)`` down ``pipe``; then send
+    ``("done", steps, converged, warnings)`` or ``("error", exc)``. No message
+    holds more than one sample. The read ends the fork copied, ``receivers``,
+    are closed first, so that once the parent is gone a send raises
+    BrokenPipeError, which ends the process."""
     for receiver in receivers:
         receiver.close()
     try:
         try:
             metric, window = perturb_metric(base, spec.amplitude, spec.seed)
+            pipe.send(("window", window))
             progress = (lambda *state: pipe.send(("progress", *state))) if report_progress else None
             trace = run_flow(metric, config.flow, progress=progress,
-                             on_sample=lambda s: pipe.send(("sample", s.t, s.u)))
-            pipe.send(("done", metric.u, window, replace(trace, mesh=None)))
+                             on_sample=lambda s: pipe.send(("sample", s)))
+            pipe.send(("done", trace.steps, trace.converged, trace.warnings))
         except Exception as exc:  # the parent raises it as the flow's own error
             pipe.send(("error", exc))
     except BrokenPipeError:

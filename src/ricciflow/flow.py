@@ -30,6 +30,10 @@ from .spectrum import assemble_operators, operator_norm_estimate, smallest_eigen
 RK4_STABILITY = 2.785  # extent of the classical RK4 stability interval
 CFL_SAFETY = 0.85
 NORM_RECHECK_STEPS = 500  # stiffness estimate refresh cadence
+# Largest t_max / dt_init a config may ask for. No accepted step exceeds
+# dt_init, so a run to t_max takes at least that many steps; the level-3
+# acceptance flow takes about 2e4.
+STEP_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,11 @@ class FlowConfig:
                 raise ValueError(f"{name} must be positive")
         if self.t_max + self.dt_min == self.t_max:
             raise ValueError("dt_min cannot advance time at t_max, so a run might not end")
+        if self.t_max / self.dt_init > STEP_BUDGET:
+            raise ValueError(
+                f"t_max / dt_init = {self.t_max / self.dt_init:.3g} exceeds the step budget "
+                f"of {STEP_BUDGET:.0e} steps"
+            )
         integer_at_least(self.spectrum_every, 1, "spectrum_every")
         integer_at_least(self.k, 1, "k")
         integer_at_least(self.seed, 0, "seed")

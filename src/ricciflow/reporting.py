@@ -10,6 +10,7 @@ timestamp lives on its own line and is easy to exclude from comparisons.
 
 from __future__ import annotations
 
+import array
 import datetime
 import json
 
@@ -44,16 +45,26 @@ def write_trace_csv(path, trace):
 
 
 def _read_csv(path):
-    """Header and float rows of a CSV artifact; ConfigError if truncated or malformed."""
+    """Header and float rows of a CSV artifact; ConfigError if truncated or malformed.
+
+    Each line is parsed into floats as it is read, into one flat buffer.
+    """
+    values = array.array("d")
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows or any(len(row) != len(header) for row in rows):
-        raise ConfigError(f"{path} is truncated: no data rows, or a row of the wrong length")
-    try:
-        return header, np.array([[float(x) for x in row] for row in rows])
-    except ValueError as exc:
-        raise ConfigError(f"malformed {path}: {exc}") from exc
+        for line in map(str.strip, fh):
+            if not line:
+                continue
+            row = line.split(",")
+            if len(row) != len(header):
+                raise ConfigError(f"{path} is truncated: a row of the wrong length")
+            try:
+                values.extend(float(x) for x in row)
+            except ValueError as exc:
+                raise ConfigError(f"malformed {path}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"{path} is truncated: no data rows")
+    return header, np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
 
 
 def read_trace_csv(path):

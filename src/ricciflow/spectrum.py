@@ -39,8 +39,10 @@ class SpectrumSnapshot:
     Eigenvalues ascend; eigenvectors are mass-orthonormal columns, and every
     pair carries the certified residual ``||L phi - lambda M phi|| / ||M phi||``.
     The mass diagonal is kept so consumers can form M-inner products.
-    ``eigenvectors`` is None in an experiment's trace, which tracks each snapshot
-    as it is solved: its ``BranchSet`` keeps the checked branches' vectors.
+    ``eigenvectors`` and ``mass`` are None in an experiment's trace, which
+    tracks each snapshot as it is solved, with its sample's curvature field:
+    its ``BranchSet`` keeps the residual stencils of the checked branches,
+    and no vectors.
     """
 
     t: float

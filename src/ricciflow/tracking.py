@@ -29,26 +29,40 @@ class BranchSet:
     for ``branches[i]``), and ``vector(b, j)`` returns branch b's. ``flagged[b, j]``
     marks overlap failures and near-degeneracies, where branch identity (and any
     derivative along it) is unreliable. ``sorted_values`` is the ascending relabeling.
+
+    A set tracked with each snapshot's curvature field (an experiment's) keeps
+    no vectors (``vectors`` is None) but ``stencil_residuals[law, i, j]``: the raw
+    residual of ``law`` (0: the spectral evolution formula, 1: the normalization
+    law) along branch ``branches[i]`` at the middle of the stencil j-1, j, j+1,
+    NaN at the two ends. The residual statistics read those, or the vectors.
     """
 
     times: np.ndarray
     values: np.ndarray
     branches: tuple
-    vectors: list
+    vectors: list | None
     columns: np.ndarray
     signs: np.ndarray
     flagged: np.ndarray
     sorted_values: np.ndarray
+    stencil_residuals: np.ndarray | None = None
 
     @property
     def k(self):
         return self.values.shape[0]
 
-    def vector(self, branch, j):
-        """Eigenvector of kept branch ``branch`` at time ``times[j]``, sign fixed."""
+    def row(self, branch):
+        """Position of kept branch ``branch`` in ``branches``; KeyError for any other."""
         if branch not in self.branches:
             raise KeyError(f"branch {branch} was not kept; kept branches: {list(self.branches)}")
-        return self.vectors[j][self.branches.index(branch)]
+        return self.branches.index(branch)
+
+    def vector(self, branch, j):
+        """Eigenvector of kept branch ``branch`` at time ``times[j]``, sign fixed."""
+        if self.vectors is None:
+            raise KeyError("this branch set keeps no vectors: its residual stencils "
+                           "were evaluated as it was tracked")
+        return self.vectors[j][self.row(branch)]
 
 
 class BranchTracker:
@@ -57,24 +71,33 @@ class BranchTracker:
     ``add`` matches a snapshot to the previous one (see ``track_branches``);
     only the vectors of ``branches`` (every branch if None) outlive the next
     ``add``, so a caller may drop each eigenvector matrix once it is added.
+    Given each snapshot's curvature field as well, ``add`` evaluates the
+    residual stencil that the snapshot completes, and the tracker keeps the
+    vectors of the last two snapshots only, which the next stencil needs.
     """
 
     def __init__(self, branches=None):
         self.branches = None if branches is None else tuple(branches)
         self.times, self.values, self.columns, self.signs, self.vectors = [], [], [], [], []
         self.crossings = []  # (branch, j): no overlap match from time j - 1 to j
+        self.fields = None  # the last two curvature fields, if every snapshot came with one
+        self.stencils = []  # per interior snapshot, the _branch_stencil of each kept branch
         self._prev = None  # (permuted, signed eigenvectors, mass) of the last snapshot
 
-    def add(self, snap):
-        """Match ``snap`` to the previous snapshot and record its branches."""
+    def add(self, snap, curvature=None):
+        """Match ``snap`` to the previous snapshot and record its branches;
+        ``curvature`` is the field of the sample ``snap`` was solved from."""
         if snap.eigenvectors is None:
             raise ValueError(f"snapshot at t={snap.t:.6g} has no eigenvectors to track")
+        if self.times and (curvature is None) != (self.fields is None):
+            raise ValueError("give every snapshot its curvature field, or none")
         k, n = snap.k, snap.eigenvectors.shape[0]
         if self._prev is None:
             self.branches = tuple(range(k)) if self.branches is None else self.branches
             cols, sign = np.arange(k), np.ones(k)
             # C-ordered, as the next overlap's bits depend on its layout
             vecs = snap.eigenvectors.copy()
+            self.fields = None if curvature is None else []
         else:
             prev_vecs, prev_mass = self._prev
             if (k, n) != (len(self.values[-1]), prev_vecs.shape[0]):
@@ -92,6 +115,16 @@ class BranchTracker:
         self.columns.append(cols)
         self.signs.append(sign)
         self.vectors.append(np.ascontiguousarray(vecs[:, list(self.branches)].T))
+        if self.fields is not None:
+            self.fields.append(curvature)
+            if len(self.times) >= 3:
+                times, values, rows = self.times[-3:], self.values[-3:], self.vectors[-3:]
+                self.stencils.append([
+                    _branch_stencil(times, [v[b] for v in values], [r[i] for r in rows],
+                                    self.fields[-2])
+                    for i, b in enumerate(self.branches)
+                ])
+            del self.vectors[:-2], self.fields[:-2]
 
 
 def track_branches(snapshots, branches=None):
@@ -108,7 +141,9 @@ def track_branches(snapshots, branches=None):
 
     ``snapshots`` is a time-ordered list, fed here to a ``BranchTracker``
     that keeps the vectors of ``branches`` (every branch if None), or a
-    tracker already fed, as a run tracks each spectrum when it is solved.
+    tracker already fed, as a run tracks each spectrum when it is solved;
+    a tracker fed curvature fields gives a set with ``stencil_residuals``
+    and no vectors.
     """
     tracker = snapshots
     if not isinstance(tracker, BranchTracker):
@@ -118,6 +153,11 @@ def track_branches(snapshots, branches=None):
     if not tracker.times:
         raise ValueError("need at least one snapshot to track branches")
     values = np.stack(tracker.values, axis=1)
+    stencils = None
+    if tracker.fields is not None:
+        stencils = np.full((2, len(tracker.branches), values.shape[1]), np.nan)
+        for j, found in enumerate(tracker.stencils, start=1):
+            stencils[:, :, j] = np.array(found).T
     flagged = np.zeros(values.shape, dtype=bool)
     for b, j in tracker.crossings:
         flagged[b, j - 1 : j + 1] = True
@@ -137,11 +177,12 @@ def track_branches(snapshots, branches=None):
         times=np.array(tracker.times),
         values=values,
         branches=tracker.branches,
-        vectors=list(tracker.vectors),
+        vectors=None if stencils is not None else list(tracker.vectors),
         columns=np.stack(tracker.columns, axis=1),
         signs=np.stack(tracker.signs, axis=1),
         flagged=flagged,
         sorted_values=np.sort(values, axis=0),
+        stencil_residuals=stencils,
     )
 
 
@@ -214,7 +255,8 @@ def evolution_formula_residual(trace, branch_set, branch, time_index):
     (the mean-zero form; the raw form subtracts ``r * lambda`` from the
     curvature integral). The residual is normalized by
     ``|lambda| * (max|R - r| + 1e-12)``, the natural magnitude of both sides;
-    the 1e-12 keeps the scale positive at constant curvature.
+    the 1e-12 keeps the scale positive at constant curvature. Reads the
+    branch's vector, so ``branch_set`` must keep it.
 
     Raises
     ------
@@ -222,26 +264,58 @@ def evolution_formula_residual(trace, branch_set, branch, time_index):
         If the branch is flagged anywhere on the stencil (no differentiable
         branch exists through a crossing).
     """
-    samples = trace.snapshot_samples()
-    times = branch_set.times
-    if len(samples) != times.shape[0] or abs(samples[time_index].t - times[time_index]) > 1e-12:
-        raise ValueError("branch set does not match the trace's snapshots")
+    samples = _matching_samples(trace, branch_set)
     if not 0 < time_index < len(samples) - 1:
         raise IndexError("need both time neighbors")
-    if branch_set.flagged[branch, time_index - 1 : time_index + 2].any():
+    stencil = slice(time_index - 1, time_index + 2)
+    if branch_set.flagged[branch, stencil].any():
         raise BranchCrossingError(
             f"branch {branch} is flagged near time index {time_index}"
         )
+    return _evolution_stencil(
+        branch_set.times[stencil],
+        branch_set.values[branch, stencil],
+        branch_set.vector(branch, time_index),
+        samples[time_index].curvature,
+    )
 
-    lam = branch_set.values[branch, time_index]
-    phi = branch_set.vector(branch, time_index)
-    fld = samples[time_index].curvature
+
+def _evolution_stencil(times, values, phi, fld):
+    """``(fd, rhs, relative_residual)`` of ``evolution_formula_residual`` from
+    one branch's three values and middle vector ``phi``."""
+    lam = values[1]
     rhs = lam * float(np.sum((fld.R - fld.r) * phi * phi * fld.dual_area))
-
-    stencil = slice(time_index - 1, time_index + 2)
-    fd = float(central_difference(times[stencil], branch_set.values[branch, stencil]))
+    fd = float(central_difference(times, values))
     scale = abs(lam) * fld.max_deviation() + 1e-12 * abs(lam)
     return fd, rhs, abs(fd - rhs) / scale
+
+
+def _normalization_stencil(times, phis, fld):
+    """Relative error of the normalization law (see ``normalization_rate_residuals``)
+    from one branch's three vectors ``phis``."""
+    dphi = central_difference(times, phis)
+    phi_mid = phis[1]
+    lhs = 2.0 * float(np.sum(phi_mid * dphi * fld.dual_area))
+    rhs = float(np.sum(phi_mid * phi_mid * fld.R * fld.dual_area)) - fld.r
+    return abs(lhs - rhs) / fld.max_deviation()
+
+
+def _branch_stencil(times, values, phis, fld):
+    """Both laws' raw residuals along one branch at the middle of a
+    three-snapshot stencil: the evolution formula's relative residual and the
+    normalization law's, from the branch's three values and vectors ``phis``
+    and the middle curvature field ``fld``."""
+    evolution = _evolution_stencil(times, values, phis[1], fld)[2]
+    return evolution, _normalization_stencil(times, phis, fld)
+
+
+def _matching_samples(trace, branch_set):
+    """The trace's samples with a spectrum, which must be ``branch_set``'s snapshots."""
+    samples = trace.snapshot_samples()
+    times = branch_set.times
+    if len(samples) != len(times) or any(abs(s.t - t) > 1e-12 for s, t in zip(samples, times)):
+        raise ValueError("branch set does not match the trace's snapshots")
+    return samples
 
 
 def active_interior(samples):
@@ -256,22 +330,41 @@ def active_interior(samples):
     ]
 
 
+def _law_residuals(trace, branch_set, branches, law):
+    """Raw residuals of ``law`` (0 or 1, as in ``_branch_stencil``) along
+    ``branches`` at every unflagged stencil of the active phase, snapshot by
+    snapshot. They are read from ``branch_set.stencil_residuals`` where it was
+    tracked with them, and evaluated from its vectors otherwise."""
+    samples = _matching_samples(trace, branch_set)
+    table = branch_set.stencil_residuals
+    found = []
+    for j in active_interior(samples):
+        stencil = slice(j - 1, j + 2)
+        for b in branches:
+            if branch_set.flagged[b, stencil].any():
+                continue
+            if table is not None:
+                found.append(table[law, branch_set.row(b), j])
+                continue
+            phis = [branch_set.vector(b, i) for i in range(j - 1, j + 2)]
+            residuals = _branch_stencil(
+                branch_set.times[stencil], branch_set.values[b, stencil], phis, samples[j].curvature
+            )
+            found.append(residuals[law])
+    if not found:
+        raise ValueError("no unflagged active samples to evaluate")
+    return found
+
+
 def evolution_residual_median(trace, branch_set, branches):
-    """Median relative evolution-formula residual over unflagged samples.
+    """Median relative evolution-formula residual (see
+    ``evolution_formula_residual``) over unflagged samples, and their count.
 
     ``branches`` lists branch ids (1 is the first nonzero mode). Samples
     are restricted to the active phase (see ``active_interior``), so the
     residual normalization stays meaningful.
     """
-    residuals = []
-    for j in active_interior(trace.snapshot_samples()):
-        for b in branches:
-            try:
-                residuals.append(evolution_formula_residual(trace, branch_set, b, j)[2])
-            except BranchCrossingError:
-                continue
-    if not residuals:
-        raise ValueError("no unflagged active samples to evaluate")
+    residuals = _law_residuals(trace, branch_set, branches, 0)
     return float(np.median(residuals)), len(residuals)
 
 
@@ -307,23 +400,7 @@ def normalization_rate_residuals(trace, branch_set, branches):
     Returns relative errors (scaled by ``max|R - r|``) over unflagged
     samples of the active phase (see ``active_interior``).
     """
-    samples = trace.snapshot_samples()
-    errors = []
-    for j in active_interior(samples):
-        fld = samples[j].curvature
-        dev = fld.max_deviation()
-        for b in branches:
-            if branch_set.flagged[b, j - 1 : j + 2].any():
-                continue
-            phis = [branch_set.vector(b, i) for i in range(j - 1, j + 2)]
-            dphi = central_difference(branch_set.times[j - 1 : j + 2], phis)
-            phi_mid = phis[1]
-            lhs = 2.0 * float(np.sum(phi_mid * dphi * fld.dual_area))
-            rhs = float(np.sum(phi_mid * phi_mid * fld.R * fld.dual_area)) - fld.r
-            errors.append(abs(lhs - rhs) / dev)
-    if not errors:
-        raise ValueError("no unflagged active samples to evaluate")
-    return np.asarray(errors)
+    return np.asarray(_law_residuals(trace, branch_set, branches, 1))
 
 
 def pde_residual_median(trace):

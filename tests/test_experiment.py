@@ -14,7 +14,8 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,14 @@ from ricciflow.experiment import (
 )
 from ricciflow.geometry import perturb_metric, scale_metric
 from ricciflow.reporting import read_report_json, write_report_json
-from ricciflow.tracking import track_branches
+from ricciflow.tracking import (
+    BranchTracker,
+    active_interior,
+    evolution_formula_residual,
+    evolution_residual_median,
+    normalization_rate_residuals,
+    track_branches,
+)
 
 
 def _config_dict(**overrides):
@@ -349,37 +357,157 @@ def test_surfaces_match_in_process_runs(kind):
         assert len(trace.samples) == len(expected.samples)
         for got, want in zip(trace.samples, expected.samples):
             assert got.t == want.t and np.array_equal(got.u, want.u)
-            # tracked as it was solved, the spectrum is kept without its vectors
-            assert got.spectrum.eigenvectors is None
-            for field in (f.name for f in fields(SpectrumSnapshot) if f.name != "eigenvectors"):
-                assert np.array_equal(getattr(got.spectrum, field),
-                                      getattr(want.spectrum, field)), field
+            for field in (f.name for f in fields(got.curvature)):
+                assert np.array_equal(getattr(got.curvature, field),
+                                      getattr(want.curvature, field)), field
+            # tracked as it was solved, the spectrum is kept without its vectors and mass
+            assert got.spectrum.eigenvectors is None and got.spectrum.mass is None
+            for field in (f.name for f in fields(SpectrumSnapshot)):
+                if field not in ("eigenvectors", "mass"):
+                    assert np.array_equal(getattr(got.spectrum, field),
+                                          getattr(want.spectrum, field)), field
         for field in ("times", "values", "columns", "signs", "flagged", "sorted_values"):
             assert np.array_equal(getattr(branch_set, field),
                                   getattr(expected_branches, field)), field
         assert branch_set.branches == expected_branches.branches == tuple(checked)
-        for b in checked:
-            for j in range(len(branch_set.times)):
-                assert np.array_equal(branch_set.vector(b, j), expected_branches.vector(b, j))
+        # no vectors: the stencils were evaluated as the spectra arrived, and
+        # give the statistics of tracking the whole list
+        assert branch_set.vectors is None
+        streamed = BranchTracker(checked)
+        for sample in expected.snapshot_samples():
+            streamed.add(sample.spectrum, sample.curvature)
+        assert np.array_equal(branch_set.stencil_residuals,
+                              track_branches(streamed).stencil_residuals, equal_nan=True)
+        assert (evolution_residual_median(trace, branch_set, checked)
+                == evolution_residual_median(expected, expected_branches, checked))
+        assert np.array_equal(normalization_rate_residuals(trace, branch_set, checked),
+                              normalization_rate_residuals(expected, expected_branches, checked))
 
 
-def test_flow_experiment_keeps_only_checked_branch_vectors():
-    # each spectrum is tracked as soon as it is solved and its eigenvector
-    # matrix dropped: a run keeps one vector per checked branch and time
-    flow = {"spectrum_every": 200, "k": 8, "seed": 3}
+def _arrays(obj):
+    """Every NumPy array in ``obj``, through containers and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+    elif is_dataclass(obj):
+        for field in fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+
+
+@pytest.mark.parametrize("kind", ["flow", "pair"])
+def test_experiment_keeps_no_branch_vectors(kind, monkeypatch):
+    # each spectrum is tracked as soon as it is solved, with its sample's
+    # curvature field: the branch set keeps the residual stencils and no
+    # vector, the trace's spectra keep neither vectors nor masses, and no pipe
+    # message carries more than one sample's arrays
+    messages = []
+    real_recv = Connection.recv
+
+    def recv(self):
+        messages.append(real_recv(self))
+        return messages[-1]
+
+    monkeypatch.setattr(Connection, "recv", recv)
+    flow = {"spectrum_every": 60, "k": 8, "seed": 3}
     config = ExperimentConfig.from_dict(
-        _config_dict(mesh={"generator": "genus2", "level": 2}, flow=flow)
+        _kind_config(kind, mesh={"generator": "genus2", "level": 2}, flow=flow)
     )
-    artifacts = run_flow_experiment(config)
-    snapshots, branch_set = artifacts.trace.snapshots(), artifacts.branch_set
+    surfaces = _run_kind(kind, config)
     checked = bnd.checked_branches(config.flow.k)
-    n = artifacts.trace.mesh.vertex_count
-    assert len(snapshots) == len(branch_set.times) > 2
-    assert all(snap.eigenvectors is None for snap in snapshots)
-    assert sum(v.nbytes for v in branch_set.vectors) == len(snapshots) * len(checked) * n * 8
-    for j in range(len(snapshots)):
-        with pytest.raises(KeyError, match="kept branches"):
-            branch_set.vector(0, j)
+    for _, _, trace, branch_set in surfaces:
+        snapshots = trace.snapshots()
+        assert len(snapshots) == len(branch_set.times) > 2
+        assert all(snap.eigenvectors is None and snap.mass is None for snap in snapshots)
+        assert branch_set.vectors is None
+        with pytest.raises(KeyError, match="keeps no vectors"):
+            branch_set.vector(checked[0], 1)
+        table = branch_set.stencil_residuals
+        assert table.shape == (2, len(checked), len(snapshots))
+        assert np.isnan(table[:, :, [0, -1]]).all() and np.isfinite(table[:, :, 1:-1]).all()
+
+    samples = sum(len(trace.samples) for _, _, trace, _ in surfaces)
+    assert Counter(tag for tag, *_ in messages) == {
+        "window": len(surfaces), "sample": samples, "done": len(surfaces)
+    }
+    n = surfaces[0][2].mesh.vertex_count
+    for tag, *body in messages:
+        arrays = list(_arrays(body))
+        if tag == "sample":  # one state, without a spectrum: u, defect, dual area and R
+            [sample] = body
+            assert isinstance(sample, flow_module.FlowSample) and sample.spectrum is None
+            assert [a.shape for a in arrays] == [(n,)] * 4
+        elif tag == "done":  # the per-step columns, and no sample
+            steps, converged, warnings = body
+            assert isinstance(converged, bool) and isinstance(warnings, list)
+            assert [id(a) for a in arrays] == [id(a) for a in steps.values()]
+        else:
+            assert arrays == []
+
+
+@pytest.mark.parametrize("kind", ["flow", "pair"])
+def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
+    # one interior eigensolve fails on each surface: the stencils span the
+    # gap, as trace.snapshot_samples() does, the residual statistics equal
+    # those of list-based tracking of an in-process run, bit for bit, and the
+    # curvature-law residual still counts the sample
+    import ricciflow.experiment as exp
+
+    flow = {"spectrum_every": 10, "k": 8, "seed": 3}
+    config = ExperimentConfig.from_dict(
+        _kind_config(kind, mesh={"generator": "genus2", "level": 1}, flow=flow)
+    )
+    base = build_base_metric(config)
+    expected = [
+        flow_module.run_flow(perturb_metric(base, s.amplitude, s.seed)[0], config.flow)
+        for s in config.perturbations
+    ]
+    failing = {trace.samples[3].t for trace in expected}
+    real = exp.solve_sample
+
+    def solve(mesh, base_lengths, flow_config, t, u):
+        if t in failing:
+            return EigensolverError("injected failure")
+        return real(mesh, base_lengths, flow_config, t, u)
+
+    monkeypatch.setattr(exp, "solve_sample", solve)
+    if kind == "flow":
+        artifacts = run_flow_experiment(config)
+        surfaces = [(artifacts.trace, artifacts.branch_set, artifacts.report_dict)]
+    else:
+        artifacts = run_pair_experiment(config)
+        blocks = [artifacts.report_dict[f"surface_{i}"] for i in (1, 2)]
+        surfaces = [(tr, bs, block) for (_, _, tr, bs), block in zip(artifacts.surfaces, blocks)]
+    checked = bnd.checked_branches(config.flow.k)
+    for want, (trace, branch_set, block) in zip(expected, surfaces):
+        flow_module.solve_snapshots(
+            want, [solve(want.mesh, want.base_lengths, config.flow, s.t, s.u) for s in want.samples]
+        )
+        tracked = track_branches(want.snapshots())
+        assert trace.samples[3].spectrum is None and want.samples[3].spectrum is None
+        assert trace.warnings == want.warnings and len(want.warnings) == 1
+        assert np.array_equal(branch_set.times, [s.t for s in want.snapshot_samples()])
+        assert len(branch_set.times) == len(trace.samples) - 1
+        # the stencil at snapshot 2 reads samples 1, 2 and 4
+        for j in range(1, len(branch_set.times) - 1):
+            for i, b in enumerate(checked):
+                if not tracked.flagged[b, j - 1 : j + 2].any():
+                    assert (branch_set.stencil_residuals[0, i, j]
+                            == evolution_formula_residual(want, tracked, b, j)[2])
+        stats = block["residual_stats"]
+        assert (stats["evolution_formula_median"], stats["evolution_formula_samples"]) == (
+            evolution_residual_median(want, tracked, checked)
+        )
+        normalization = normalization_rate_residuals(want, tracked, checked)
+        assert np.array_equal(normalization_rate_residuals(trace, branch_set, checked),
+                              normalization)
+        assert stats["normalization_median"] == float(np.median(normalization))
+        assert 3 in active_interior(want.samples)
+        assert stats["pde_residual_median"] == pde_residual_median(want)
 
 
 @pytest.mark.parametrize("kind", ["flow", "pair"])
@@ -659,6 +787,24 @@ def test_cli_flow_rejects_dt_min_that_cannot_advance_time(tmp_path):
     assert done.returncode == 2, done.stderr
     lines = done.stdout.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_flow_rejects_a_step_count_above_the_budget(tmp_path):
+    # no accepted step exceeds dt_init, so this run would take t_max / dt_init
+    # = 5e13 steps; the config is refused instead. The subprocess's timeout
+    # fails a regression rather than hanging the suite
+    cfg = tmp_path / "config.json"
+    flow = {"spectrum_every": 30, "k": 8, "seed": 3, "dt_init": 1e-12, "dt_min": 1e-13}
+    _write_config(cfg, _config_dict(flow=flow))
+    code = "import sys; from ricciflow.cli import main; sys.exit(main())"
+    done = _run_python(code, "flow", "--config", cfg, "--out", tmp_path / "out", "--quiet",
+                       timeout=60)
+    assert done.returncode == 2, done.stderr
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError" and "step budget" in payload["message"]
     assert "Traceback" not in done.stderr
 
 

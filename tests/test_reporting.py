@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ricciflow import ConfigError, track_branches
+from ricciflow import ConfigError, FlowConfig, perturb_metric, run_flow, track_branches
 from ricciflow.reporting import (
     TRACE_COLUMNS,
     canonical_json,
@@ -100,12 +100,31 @@ def test_spectrum_csv_round_trip_exact(data):
 
 
 @pytest.mark.parametrize("reader", [read_trace_csv, read_spectrum_csv])
-@pytest.mark.parametrize("body", ["", "0.5,1\n"], ids=["header_only", "short_row"])
+@pytest.mark.parametrize(
+    "body", ["", "0.5,1\n", "0.5,1,x,0\n"], ids=["header_only", "short_row", "non_numeric"]
+)
 def test_truncated_csv_raises_config_error(tmp_path, reader, body):
     path = tmp_path / "artifact.csv"
     path.write_text("t,branch_0,sorted_0,flag_0\n" + body)
     with pytest.raises(ConfigError):
         reader(path)
+
+
+def test_csv_reader_matches_parsing_every_row_at_once(octagon1, tmp_path):
+    # the reader parses each line as it reads it; its arrays must equal those
+    # of the whole-file parse it replaced, on a real level-1 trace.csv
+    metric, _ = perturb_metric(octagon1, 0.02, 11)
+    trace = run_flow(metric, FlowConfig(spectrum_every=30, k=8, seed=3))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    lines = path.read_text(encoding="ascii").splitlines()
+    whole = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert whole.shape == (len(trace.steps["t"]), len(TRACE_COLUMNS))
+    read = read_trace_csv(path)
+    assert list(read) == lines[0].split(",")
+    for j, name in enumerate(read):
+        expected = whole[:, j].astype(int) if name in ("argmin", "argmax") else whole[:, j]
+        assert read[name].dtype == expected.dtype and np.array_equal(read[name], expected), name
 
 
 def test_canonical_json_deterministic_and_sorted():

@@ -86,6 +86,50 @@ def test_tracker_fed_one_snapshot_at_a_time_matches_batch_tracking(run1):
             assert np.array_equal(every.vector(b, j), want)
 
 
+def test_tracker_fed_curvature_evaluates_the_stencils_of_list_tracking(run1):
+    # given each snapshot's curvature field, the tracker evaluates each
+    # residual stencil as the snapshot after it arrives and keeps only the
+    # vectors the next stencil needs; the statistics read those stencils and
+    # equal list-based tracking's bit for bit, flags applied at the end
+    trace = run1["trace"]
+    checked = [1, 2, 3, 4, 5]
+    tracker = BranchTracker(checked)
+    for sample in trace.snapshot_samples():
+        tracker.add(sample.spectrum, sample.curvature)
+        assert len(tracker.vectors) <= 2 and len(tracker.fields) <= 2
+    streamed = track_branches(tracker)
+    batch = track_branches(trace.snapshots(), branches=checked)
+    for field in ("times", "values", "columns", "signs", "flagged", "sorted_values"):
+        assert np.array_equal(getattr(streamed, field), getattr(batch, field)), field
+    assert streamed.vectors is None and batch.stencil_residuals is None
+    n_times = len(streamed.times)
+    assert streamed.stencil_residuals.shape == (2, len(checked), n_times)
+    for j in range(1, n_times - 1):
+        for i, b in enumerate(checked):
+            if not batch.flagged[b, j - 1 : j + 2].any():
+                want = evolution_formula_residual(trace, batch, b, j)[2]
+                assert streamed.stencil_residuals[0, i, j] == want
+    rigged = batch.flagged.copy()
+    rigged[2, 3:6] = True
+    for flagged in (batch.flagged, rigged):
+        got, want = (dataclasses.replace(bs, flagged=flagged) for bs in (streamed, batch))
+        assert (evolution_residual_median(trace, got, checked)
+                == evolution_residual_median(trace, want, checked))
+        assert np.array_equal(normalization_rate_residuals(trace, got, checked),
+                              normalization_rate_residuals(trace, want, checked))
+    assert (evolution_residual_median(trace, dataclasses.replace(streamed, flagged=rigged), checked)
+            != evolution_residual_median(trace, streamed, checked))
+
+
+def test_tracker_takes_curvature_for_every_snapshot_or_none(run1):
+    samples = run1["trace"].snapshot_samples()
+    for first, second in ((samples[0].curvature, None), (None, samples[1].curvature)):
+        tracker = BranchTracker([1, 2])
+        tracker.add(samples[0].spectrum, first)
+        with pytest.raises(ValueError, match="curvature field"):
+            tracker.add(samples[1].spectrum, second)
+
+
 def test_identical_snapshots_identity_assignment(run1):
     snap = _snapshots(run1)[0]
     pair = [snap, dataclasses.replace(snap, t=snap.t + 0.1)]
