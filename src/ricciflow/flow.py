@@ -143,76 +143,30 @@ class FlowTrace:
         return [s for s in self.samples if s.spectrum is not None]
 
 
-class _Workspace:
-    """A mesh's geometry kernel plus the squared base lengths of one flow.
-
-    The hot loop works with squared lengths throughout, so each velocity
-    costs one kernel evaluation and no length square roots.
-    """
-
-    def __init__(self, mesh, base_lengths):
-        self.kernel = mesh.kernel
-        self.base_sq = base_lengths * base_lengths
-
-    def velocity(self, u):
-        """Area-preserving flow velocity (r_hat - R)/2 plus its field.
-
-        The plain normalization constant 4*pi*chi/area only conserves the
-        *smooth* area; the gradient-weighted mean ``r_hat`` (which agrees
-        with it to O(h^2) and exactly at constant curvature) makes the
-        semidiscrete flow conserve the discrete area identically, so the
-        per-step renormalization stays at integrator-error size and the
-        scheme keeps its full order.
-        """
-        sq = self.kernel.squared_lengths(self.base_sq, u)
-        field, grad = self.kernel.curvature(sq, with_gradient=True)
-        g = self.kernel.corner_sum @ grad.reshape(-1)  # dA/du per vertex
-        shift = -(field.r * g.sum() - g @ field.R) / (4.0 * field.total_area)
-        return 0.5 * (field.r - field.R) + shift, field
-
-
-def _rescaled_field(fld, c, four_pi_chi, target_area):
-    """Field of the metric scaled by ``c`` (areas x c), without re-measuring."""
-    return CurvatureField(
-        defect=fld.defect,
-        dual_area=fld.dual_area * c,
-        R=fld.R / c,
-        r=four_pi_chi / target_area,
-        R_min=fld.R_min / c,
-        R_max=fld.R_max / c,
-        total_area=target_area,
-    )
-
-
 def nrf_velocity(metric):
-    """du/dt = (r - R)/2 per vertex (d/dt g = (r - R) g with g = e^{2u} g0).
-
-    The normalization constant is the area-gradient-weighted curvature mean,
-    equal to the plain average 4*pi*chi/area up to O(h^2) and exactly at
-    constant curvature; with it the flow conserves the discrete area
-    identically rather than only approximately.
-    """
-    ws = _Workspace(metric.mesh, metric.base_lengths)
-    velocity, _ = ws.velocity(metric.u)
+    """du/dt = (r - R)/2 per vertex (d/dt g = (r - R) g with g = e^{2u} g0), with
+    the area-preserving normalization constant of :meth:`MeshKernel.velocity`."""
+    base = metric.base_lengths
+    velocity, _ = metric.mesh.kernel.velocity(base * base, metric.u)
     return velocity
 
 
-def _rk4(ws, u, v1, dt, target_area):
+def _rk4(kernel, base_sq, u, v1, dt, target_area):
     """One RK4 step plus exact area renormalization.
 
     Returns ``(u_next, field_next, v_next)``: the renormalized state, its
     field, and its velocity (which seeds the next step's first stage).
     """
-    v2, _ = ws.velocity(u + (0.5 * dt) * v1)
-    v3, _ = ws.velocity(u + (0.5 * dt) * v2)
-    v4, _ = ws.velocity(u + dt * v3)
+    v2, _ = kernel.velocity(base_sq, u + (0.5 * dt) * v1)
+    v3, _ = kernel.velocity(base_sq, u + (0.5 * dt) * v2)
+    v4, _ = kernel.velocity(base_sq, u + dt * v3)
     u_next = u + (dt / 6.0) * (v1 + 2.0 * (v2 + v3) + v4)
-    v_raw, f_raw = ws.velocity(u_next)
+    v_raw, f_raw = kernel.velocity(base_sq, u_next)
     c = target_area / f_raw.total_area
     u_next += 0.5 * np.log(c)
     # uniform scaling leaves angles (hence R*area-type products) intact, so
     # the velocity of the renormalized state is the raw one rescaled
-    return u_next, _rescaled_field(f_raw, c, ws.kernel.four_pi_chi, target_area), v_raw / c
+    return u_next, kernel.rescaled(f_raw, c, target_area), v_raw / c
 
 
 def step(metric, dt):
@@ -223,9 +177,9 @@ def step(metric, dt):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    ws = _Workspace(metric.mesh, metric.base_lengths)
-    v1, fld = ws.velocity(metric.u)
-    u_next, _, _ = _rk4(ws, metric.u, v1, dt, fld.total_area)
+    kernel, base_sq = metric.mesh.kernel, metric.base_lengths * metric.base_lengths
+    v1, fld = kernel.velocity(base_sq, metric.u)
+    u_next, _, _ = _rk4(kernel, base_sq, metric.u, v1, dt, fld.total_area)
     return metric.with_u(u_next)
 
 
@@ -269,8 +223,8 @@ def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=No
         If the initial state has a broken face or a non-finite value.
     """
     mesh = metric.mesh
-    ws = _Workspace(mesh, metric.base_lengths)
-    vel, fld = ws.velocity(metric.u)
+    kernel, base_sq = mesh.kernel, metric.base_lengths * metric.base_lengths
+    vel, fld = kernel.velocity(base_sq, metric.u)
     trace = FlowTrace(mesh, metric.base_lengths, config, steps={}, samples=[], converged=False)
 
     if mesh.genus < 2 or fld.R_max >= 0.0:
@@ -329,7 +283,7 @@ def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=No
             raise exc
         dt = min(dt, config.t_max - t)
         try:
-            u_next, fld_next, vel_next = _rk4(ws, u, vel, dt, target_area)
+            u_next, fld_next, vel_next = _rk4(kernel, base_sq, u, vel, dt, target_area)
         except TriangleInequalityError:
             dt *= 0.5
             since_cap = NORM_RECHECK_STEPS  # re-estimate stiffness after rejections

@@ -118,7 +118,8 @@ class MeshKernel:
 
     Built once per mesh and cached on it as :attr:`TriangleMesh.kernel`;
     read-only, so threads may share it. :meth:`faces` is the one place where
-    areas and law-of-cosines terms are computed.
+    areas and law-of-cosines terms are computed, and :meth:`velocity` the one
+    place where the flow's velocity is.
     """
 
     def __init__(self, mesh):
@@ -172,22 +173,20 @@ class MeshKernel:
         area = 0.25 * np.sqrt(s16)
         return q, area, s - 2.0 * q
 
-    def curvature(self, sq, with_gradient=False):
-        """CurvatureField of the metric with squared edge lengths ``sq``.
+    def curvature(self, sq):
+        """CurvatureField of the metric with squared edge lengths ``sq``."""
+        _, area, cos_terms = self.faces(sq)
+        return self._field(area, cos_terms)
 
-        With ``with_gradient`` also returns the per-corner area gradient
-        ``dA_T/du`` with shape ``(3, F)``: (adjacent squared lengths,
-        cotangent weighted) / 4, whose three corners sum to ``2 A_T``
-        exactly, the uniform-scaling identity.
-        """
-        q, area, cos_terms = self.faces(sq)
+    def _field(self, area, cos_terms):
+        """CurvatureField from the per-face ``area`` and ``cos_terms`` of :meth:`faces`."""
         angles = np.arctan2(4.0 * area, cos_terms)
         angle_sum = self.corner_sum @ angles.reshape(-1)
         dual = self.dual_sum @ area
         defect = 2.0 * np.pi - angle_sum
         scalar = 2.0 * defect / dual
         total = float(area.sum())
-        field = CurvatureField(
+        return CurvatureField(
             defect=defect,
             dual_area=dual,
             R=scalar,
@@ -196,9 +195,38 @@ class MeshKernel:
             R_max=float(scalar.max()),
             total_area=total,
         )
-        if not with_gradient:
-            return field
-        return field, area - (q * cos_terms) / (16.0 * area)
+
+    def velocity(self, base_sq, u):
+        """Area-preserving flow velocity ``(r_hat - R)/2`` of state ``u``, and its field.
+
+        ``base_sq`` holds the squared base lengths. ``r_hat``, the
+        area-gradient-weighted curvature mean, agrees with 4*pi*chi/area to
+        O(h^2) and exactly at constant curvature, and makes the semidiscrete
+        flow conserve the discrete area identically, so the per-step
+        renormalization stays at integrator-error size.
+        """
+        q, area, cos_terms = self.faces(self.squared_lengths(base_sq, u))
+        field = self._field(area, cos_terms)
+        # per-corner area gradient dA_T/du: (adjacent squared lengths,
+        # cotangent weighted) / 4, whose three corners sum to 2 A_T exactly,
+        # the uniform-scaling identity
+        grad = area - (q * cos_terms) / (16.0 * area)
+        g = self.corner_sum @ grad.reshape(-1)  # dA/du per vertex
+        shift = -(field.r * g.sum() - g @ field.R) / (4.0 * field.total_area)
+        return 0.5 * (field.r - field.R) + shift, field
+
+    def rescaled(self, field, c, target_area):
+        """``field`` of a metric scaled by ``c`` (areas x c) to total area
+        ``target_area``, without re-measuring: angles, hence defects, stay."""
+        return CurvatureField(
+            defect=field.defect,
+            dual_area=field.dual_area * c,
+            R=field.R / c,
+            r=self.four_pi_chi / target_area,
+            R_min=field.R_min / c,
+            R_max=field.R_max / c,
+            total_area=target_area,
+        )
 
     def operators(self, sq):
         """``(L, mass)`` as documented in :func:`ricciflow.spectrum.assemble_operators`."""

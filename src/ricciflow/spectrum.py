@@ -38,11 +38,12 @@ class SpectrumSnapshot:
 
     Eigenvalues ascend; eigenvectors are mass-orthonormal columns, and every
     pair carries the certified residual ``||L phi - lambda M phi|| / ||M phi||``.
-    The mass diagonal is kept so consumers can form M-inner products.
-    ``eigenvectors`` and ``mass`` are None in an experiment's trace, which
-    tracks each snapshot as it is solved, with its sample's curvature field:
-    its ``BranchSet`` keeps the residual stencils of the checked branches,
-    and no vectors.
+    The mass diagonal is kept so consumers can form M-inner products. The
+    eigenvector columns are the one stored form of the branch vectors that a
+    ``BranchSet`` names by column and sign. ``eigenvectors`` and ``mass`` are
+    None in an experiment's trace, which tracks each snapshot as it is
+    solved, with its sample's curvature field, so that its ``BranchSet``
+    holds the residual stencils of the checked branches instead.
     """
 
     t: float

@@ -25,22 +25,22 @@ class BranchSet:
 
     ``values[b, j]`` is branch ``b`` at time ``times[j]``, column ``columns[b, j]``
     of snapshot j, whose eigenvector times ``signs[b, j]`` (±1.0) is continuous
-    along the branch. ``vectors[j]`` holds one such vector per kept branch (row i
-    for ``branches[i]``), and ``vector(b, j)`` returns branch b's. ``flagged[b, j]``
-    marks overlap failures and near-degeneracies, where branch identity (and any
-    derivative along it) is unreliable. ``sorted_values`` is the ascending relabeling.
+    along the branch; that column of the snapshot is the one stored form of
+    the branch's vector. ``flagged[b, j]`` marks overlap failures and
+    near-degeneracies, where branch identity (and any derivative along it) is
+    unreliable. ``sorted_values`` is the ascending relabeling.
 
-    A set tracked with each snapshot's curvature field (an experiment's) keeps
-    no vectors (``vectors`` is None) but ``stencil_residuals[law, i, j]``: the raw
-    residual of ``law`` (0: the spectral evolution formula, 1: the normalization
-    law) along branch ``branches[i]`` at the middle of the stencil j-1, j, j+1,
-    NaN at the two ends. The residual statistics read those, or the vectors.
+    A set tracked with each snapshot's curvature field (an experiment's, whose
+    snapshots keep no eigenvectors) has ``stencil_residuals[law, i, j]``: the
+    raw residual of ``law`` (0: the spectral evolution formula, 1: the
+    normalization law) along branch ``branches[i]`` at the middle of the
+    stencil j-1, j, j+1, NaN at the two ends. The residual statistics read
+    those, or the snapshots' vectors.
     """
 
     times: np.ndarray
     values: np.ndarray
     branches: tuple
-    vectors: list | None
     columns: np.ndarray
     signs: np.ndarray
     flagged: np.ndarray
@@ -57,30 +57,25 @@ class BranchSet:
             raise KeyError(f"branch {branch} was not kept; kept branches: {list(self.branches)}")
         return self.branches.index(branch)
 
-    def vector(self, branch, j):
-        """Eigenvector of kept branch ``branch`` at time ``times[j]``, sign fixed."""
-        if self.vectors is None:
-            raise KeyError("this branch set keeps no vectors: its residual stencils "
-                           "were evaluated as it was tracked")
-        return self.vectors[j][self.row(branch)]
-
 
 class BranchTracker:
     """Branches of spectrum snapshots added one at a time, in time order.
 
-    ``add`` matches a snapshot to the previous one (see ``track_branches``);
-    only the vectors of ``branches`` (every branch if None) outlive the next
-    ``add``, so a caller may drop each eigenvector matrix once it is added.
-    Given each snapshot's curvature field as well, ``add`` evaluates the
-    residual stencil that the snapshot completes, and the tracker keeps the
-    vectors of the last two snapshots only, which the next stencil needs.
+    ``add`` matches a snapshot to the previous one (see ``track_branches``)
+    and keeps no eigenvector matrix past the next ``add``, so a caller may
+    drop each one once it is added. Given each snapshot's curvature field as
+    well, ``add`` evaluates the residual stencil that the snapshot completes
+    along ``branches`` (every branch if None), from the rows of those
+    branches' vectors of the last two snapshots and the new one; it keeps no
+    other rows.
     """
 
     def __init__(self, branches=None):
         self.branches = None if branches is None else tuple(branches)
-        self.times, self.values, self.columns, self.signs, self.vectors = [], [], [], [], []
+        self.times, self.values, self.columns, self.signs = [], [], [], []
         self.crossings = []  # (branch, j): no overlap match from time j - 1 to j
         self.fields = None  # the last two curvature fields, if every snapshot came with one
+        self.rows = []  # the last two snapshots' kept-branch vectors, if fields are given
         self.stencils = []  # per interior snapshot, the _branch_stencil of each kept branch
         self._prev = None  # (permuted, signed eigenvectors, mass) of the last snapshot
 
@@ -114,20 +109,20 @@ class BranchTracker:
         self.values.append(snap.eigenvalues[cols])
         self.columns.append(cols)
         self.signs.append(sign)
-        self.vectors.append(np.ascontiguousarray(vecs[:, list(self.branches)].T))
         if self.fields is not None:
             self.fields.append(curvature)
+            self.rows.append(np.ascontiguousarray(vecs[:, list(self.branches)].T))
             if len(self.times) >= 3:
-                times, values, rows = self.times[-3:], self.values[-3:], self.vectors[-3:]
+                times, values, rows = self.times[-3:], self.values[-3:], self.rows
                 self.stencils.append([
                     _branch_stencil(times, [v[b] for v in values], [r[i] for r in rows],
                                     self.fields[-2])
                     for i, b in enumerate(self.branches)
                 ])
-            del self.vectors[:-2], self.fields[:-2]
+            del self.rows[:-2], self.fields[:-2]
 
 
-def track_branches(snapshots, branches=None):
+def track_branches(snapshots):
     """Connect eigenvalues across snapshots by eigenvector overlap.
 
     Consecutive snapshots are matched greedily on the overlap matrix
@@ -139,15 +134,14 @@ def track_branches(snapshots, branches=None):
     ``DEFAULT_GAP_TOL`` (relative to the largest eigenvalue at that time). A
     single snapshot gives one-sample branches in eigenvalue order.
 
-    ``snapshots`` is a time-ordered list, fed here to a ``BranchTracker``
-    that keeps the vectors of ``branches`` (every branch if None), or a
-    tracker already fed, as a run tracks each spectrum when it is solved;
-    a tracker fed curvature fields gives a set with ``stencil_residuals``
-    and no vectors.
+    ``snapshots`` is a time-ordered list, fed here to a ``BranchTracker`` of
+    every branch, or a tracker already fed, as a run tracks each spectrum
+    when it is solved; a tracker fed curvature fields gives a set with
+    ``stencil_residuals``.
     """
     tracker = snapshots
     if not isinstance(tracker, BranchTracker):
-        tracker = BranchTracker(branches)
+        tracker = BranchTracker()
         for snap in snapshots:
             tracker.add(snap)
     if not tracker.times:
@@ -177,7 +171,6 @@ def track_branches(snapshots, branches=None):
         times=np.array(tracker.times),
         values=values,
         branches=tracker.branches,
-        vectors=None if stencils is not None else list(tracker.vectors),
         columns=np.stack(tracker.columns, axis=1),
         signs=np.stack(tracker.signs, axis=1),
         flagged=flagged,
@@ -256,7 +249,8 @@ def evolution_formula_residual(trace, branch_set, branch, time_index):
     curvature integral). The residual is normalized by
     ``|lambda| * (max|R - r| + 1e-12)``, the natural magnitude of both sides;
     the 1e-12 keeps the scale positive at constant curvature. Reads the
-    branch's vector, so ``branch_set`` must keep it.
+    branch's vector from the trace's snapshot, so that snapshot must keep its
+    eigenvectors (KeyError otherwise).
 
     Raises
     ------
@@ -275,7 +269,7 @@ def evolution_formula_residual(trace, branch_set, branch, time_index):
     return _evolution_stencil(
         branch_set.times[stencil],
         branch_set.values[branch, stencil],
-        branch_set.vector(branch, time_index),
+        _vector(branch_set, samples[time_index].spectrum, branch, time_index),
         samples[time_index].curvature,
     )
 
@@ -309,6 +303,15 @@ def _branch_stencil(times, values, phis, fld):
     return evolution, _normalization_stencil(times, phis, fld)
 
 
+def _vector(branch_set, snap, branch, j):
+    """Eigenvector of branch ``branch`` at time ``times[j]``, sign fixed, read
+    from ``snap``, the snapshot solved then."""
+    if snap.eigenvectors is None:
+        raise KeyError("this branch set keeps no vectors: its residual stencils "
+                       "were evaluated as it was tracked")
+    return snap.eigenvectors[:, branch_set.columns[branch, j]] * branch_set.signs[branch, j]
+
+
 def _matching_samples(trace, branch_set):
     """The trace's samples with a spectrum, which must be ``branch_set``'s snapshots."""
     samples = trace.snapshot_samples()
@@ -334,7 +337,7 @@ def _law_residuals(trace, branch_set, branches, law):
     """Raw residuals of ``law`` (0 or 1, as in ``_branch_stencil``) along
     ``branches`` at every unflagged stencil of the active phase, snapshot by
     snapshot. They are read from ``branch_set.stencil_residuals`` where it was
-    tracked with them, and evaluated from its vectors otherwise."""
+    tracked with them, and evaluated from the snapshots' vectors otherwise."""
     samples = _matching_samples(trace, branch_set)
     table = branch_set.stencil_residuals
     found = []
@@ -346,7 +349,7 @@ def _law_residuals(trace, branch_set, branches, law):
             if table is not None:
                 found.append(table[law, branch_set.row(b), j])
                 continue
-            phis = [branch_set.vector(b, i) for i in range(j - 1, j + 2)]
+            phis = [_vector(branch_set, samples[i].spectrum, b, i) for i in range(j - 1, j + 2)]
             residuals = _branch_stencil(
                 branch_set.times[stencil], branch_set.values[b, stencil], phis, samples[j].curvature
             )

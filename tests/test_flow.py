@@ -19,7 +19,6 @@ from ricciflow import (
     solve_snapshots,
     step,
 )
-from ricciflow.flow import _Workspace
 
 
 def test_velocity_zero_at_constant_curvature(tetra_metric, torus16_metric):
@@ -40,21 +39,26 @@ def test_velocity_sign(octagon1):
 
 def test_velocity_matches_gather_form(octagon1):
     # oracle: the area-preserving shift as a sum over corners, with the
-    # curvature gathered to each corner
-    mesh = octagon1.mesh
+    # curvature gathered to each corner and the per-corner area gradient
+    # dA_T/du formed here from the kernel's faces
+    mesh, kernel = octagon1.mesh, octagon1.mesh.kernel
     modes = dense_eigenpairs(*assemble_operators(octagon1), k=6)[1][:, 1:]
-    ws = _Workspace(mesh, octagon1.base_lengths)
+    base_sq = octagon1.base_lengths ** 2
     rng = np.random.default_rng(5)
     for _ in range(5):
         u = octagon1.u + 0.05 * (modes @ rng.uniform(-1.0, 1.0, 5)) / np.abs(modes).max()
-        field, grad = mesh.kernel.curvature(
-            mesh.kernel.squared_lengths(ws.base_sq, u), with_gradient=True
-        )
+        sq = kernel.squared_lengths(base_sq, u)
+        q, area, cos_terms = kernel.faces(sq)
+        grad = area - (q * cos_terms) / (16.0 * area)
+        assert np.allclose(grad.sum(axis=0), 2.0 * area, rtol=1e-13, atol=0.0)
+        field = kernel.curvature(sq)
         corner_dev = field.r - field.R[mesh.triangles.T]
         shift = -np.sum(grad * corner_dev) / (4.0 * field.total_area)
         expected = 0.5 * (field.r - field.R) + shift
-        velocity, _ = ws.velocity(u)
+        velocity, vfield = kernel.velocity(base_sq, u)
         assert np.abs(velocity - expected).max() <= 1e-13 * np.abs(expected).max()
+        for name in ("defect", "dual_area", "R", "r", "R_min", "R_max", "total_area"):
+            assert np.array_equal(getattr(vfield, name), getattr(field, name)), name
 
 
 def test_step_fixed_points(tetra_metric, torus16_metric):

@@ -24,84 +24,79 @@ def _snapshots(run):
     return run["trace"].snapshots()
 
 
-def test_track_branches_keeps_only_the_kept_branches_vectors(run1):
-    # a branch set holds no eigenvector matrix: one row per kept branch and
-    # time, copied out of the snapshot, and each branch's column and sign
-    snaps = _snapshots(run1)
-    kept_branches = [1, 2, 3, 4, 5]
+def test_track_branches_keeps_columns_and_signs_not_vectors(run1):
+    # a branch set holds no eigenvector data: each branch's vector at time j
+    # is its column of snapshot j times its sign, continuous along the branch
+    trace = run1["trace"]
+    snaps = trace.snapshots()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        branches = track_branches(snaps, branches=kept_branches)
+        branches = track_branches(snaps)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    n, k = snaps[0].eigenvectors.shape
-    row_bytes = len(snaps) * len(kept_branches) * n * 8
-    assert len(snaps) > 2 and branches.branches == tuple(kept_branches)
-    assert sum(v.nbytes for v in branches.vectors) == row_bytes
+    k = snaps[0].k
+    assert len(snaps) > 2 and branches.branches == tuple(range(k))
     # the tracker's last permuted matrix does not outlive it
-    assert kept < row_bytes + snaps[0].eigenvectors.nbytes // 2
+    assert kept < snaps[0].eigenvectors.nbytes // 2
     for j, snap in enumerate(snaps):
-        assert branches.vectors[j].shape == (len(kept_branches), n)
-        assert branches.vectors[j].flags.c_contiguous
-        assert not np.shares_memory(branches.vectors[j], snap.eigenvectors)
         assert np.array_equal(np.sort(branches.columns[:, j]), np.arange(k))
         for b in range(k):
             sign = branches.signs[b, j]
             assert sign in (-1.0, 1.0)
-            if b not in kept_branches:
-                with pytest.raises(KeyError, match=r"kept branches: \[1, 2, 3, 4, 5\]"):
-                    branches.vector(b, j)
-                continue
-            column = snap.eigenvectors[:, branches.columns[b, j]]
-            assert np.array_equal(branches.vector(b, j), sign * column)
             if j and not branches.flagged[b, j - 1 : j + 1].any():
-                previous = branches.vector(b, j - 1)
-                assert previous @ (snaps[j - 1].mass * branches.vector(b, j)) > 0.0
+                previous = snaps[j - 1].eigenvectors[:, branches.columns[b, j - 1]]
+                current = snap.eigenvectors[:, branches.columns[b, j]] * sign
+                overlap = previous @ (snaps[j - 1].mass * current)
+                assert branches.signs[b, j - 1] * overlap > 0.0
+    # the evolution formula reads the middle vector from the trace's snapshot
+    j = next(j for j in range(1, len(snaps) - 1) if not branches.flagged[2, j - 1 : j + 2].any())
+    phi = snaps[j].eigenvectors[:, branches.columns[2, j]] * branches.signs[2, j]
+    fld = trace.snapshot_samples()[j].curvature
+    want = branches.values[2, j] * float(np.sum((fld.R - fld.r) * phi * phi * fld.dual_area))
+    assert evolution_formula_residual(trace, branches, 2, j)[1] == want
 
 
 def test_tracker_fed_one_snapshot_at_a_time_matches_batch_tracking(run1):
     # a run feeds each spectrum to a tracker as soon as it is solved; the
-    # result must be batch tracking's, bit for bit, vectors included
+    # result must be batch tracking's, bit for bit, and without curvature
+    # fields the tracker keeps no kept-branch rows
     snaps = _snapshots(run1)
     checked = [1, 2, 3, 4, 5]
     tracker = BranchTracker(checked)
     for snap in snaps:
         tracker.add(snap)
+        assert tracker.rows == []
     streamed = track_branches(tracker)
-    batch = track_branches(snaps, branches=checked)
-    every = track_branches(snaps)
+    batch = track_branches(snaps)
     fields = ("times", "values", "columns", "signs", "flagged", "sorted_values")
     for field in fields:
         assert np.array_equal(getattr(streamed, field), getattr(batch, field)), field
-        assert np.array_equal(getattr(streamed, field), getattr(every, field)), field
-    assert streamed.branches == batch.branches == tuple(checked)
-    assert every.branches == tuple(range(every.k))
-    for j, snap in enumerate(snaps):
-        assert np.array_equal(streamed.vectors[j], batch.vectors[j])
-        for b in checked:
-            want = snap.eigenvectors[:, streamed.columns[b, j]] * streamed.signs[b, j]
-            assert np.array_equal(streamed.vector(b, j), want)
-            assert np.array_equal(every.vector(b, j), want)
+    assert streamed.branches == tuple(checked)
+    assert batch.branches == tuple(range(batch.k))
+    assert streamed.stencil_residuals is None and batch.stencil_residuals is None
 
 
 def test_tracker_fed_curvature_evaluates_the_stencils_of_list_tracking(run1):
     # given each snapshot's curvature field, the tracker evaluates each
     # residual stencil as the snapshot after it arrives and keeps only the
-    # vectors the next stencil needs; the statistics read those stencils and
-    # equal list-based tracking's bit for bit, flags applied at the end
+    # kept-branch rows the next stencil needs; the statistics read those
+    # stencils and equal list-based tracking's bit for bit, flags applied at
+    # the end
     trace = run1["trace"]
     checked = [1, 2, 3, 4, 5]
     tracker = BranchTracker(checked)
     for sample in trace.snapshot_samples():
         tracker.add(sample.spectrum, sample.curvature)
-        assert len(tracker.vectors) <= 2 and len(tracker.fields) <= 2
+        assert len(tracker.rows) <= 2 and len(tracker.fields) <= 2
+        assert all(r.shape == (len(checked), sample.spectrum.eigenvectors.shape[0])
+                   for r in tracker.rows)
     streamed = track_branches(tracker)
-    batch = track_branches(trace.snapshots(), branches=checked)
+    batch = track_branches(trace.snapshots())
     for field in ("times", "values", "columns", "signs", "flagged", "sorted_values"):
         assert np.array_equal(getattr(streamed, field), getattr(batch, field)), field
-    assert streamed.vectors is None and batch.stencil_residuals is None
+    assert batch.stencil_residuals is None
     n_times = len(streamed.times)
     assert streamed.stencil_residuals.shape == (2, len(checked), n_times)
     for j in range(1, n_times - 1):
@@ -187,11 +182,10 @@ def test_branch_order_stable_when_gaps_large(run1):
 
 
 def _no_vectors(values):
-    # branch values alone: no kept vectors, identity order, no sign flips
+    # branch values alone: no kept branches, identity order, no sign flips
     k, n_times = values.shape
     return {
         "branches": (),
-        "vectors": [np.empty((0, 0))] * n_times,
         "columns": np.tile(np.arange(k)[:, None], n_times),
         "signs": np.ones((k, n_times)),
     }
@@ -337,12 +331,9 @@ def test_track_single_snapshot(run1):
         assert np.array_equal(branches.times, [one.t])
         assert np.array_equal(branches.values, one.eigenvalues[:, None])
         assert np.array_equal(branches.sorted_values, branches.values)
-        assert branches.branches == tuple(range(one.k)) and len(branches.vectors) == 1
-        assert not np.shares_memory(branches.vectors[0], one.eigenvectors)
+        assert branches.branches == tuple(range(one.k))
         assert np.array_equal(branches.columns, np.arange(one.k)[:, None])
         assert np.array_equal(branches.signs, np.ones((one.k, 1)))
-        for b in range(one.k):
-            assert np.array_equal(branches.vector(b, 0), one.eigenvectors[:, b])
         # flagged exactly where another value lies within the relative gap
         vals = one.eigenvalues
         near = np.abs(vals[:, None] - vals[None, :]) < DEFAULT_GAP_TOL * vals.max()
