@@ -133,7 +133,7 @@ def _load_config(args):
     try:
         with open(args.config, "r", encoding="ascii") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     config = ExperimentConfig.from_dict(data)
     updates = {}

@@ -11,6 +11,7 @@ comparison with the measured distortion bound of the two limits.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass, replace
@@ -380,6 +381,7 @@ def run_flow_experiment(config, progress=None):
     if len(config.perturbations) != 1:
         raise ConfigError("flow experiment takes exactly one perturbation spec")
     base = build_base_metric(config)
+    _make_output_dir(config)
     [surface] = _run_surfaces(config, base, config.perturbations, progress)
     metric, window, trace, branch_set = surface
     report, block = _surface_block(config, window, trace, branch_set)
@@ -406,6 +408,7 @@ def run_pair_experiment(config):
     if len(config.perturbations) != 2:
         raise ConfigError("pair experiment needs exactly two perturbation specs")
     base = build_base_metric(config)
+    _make_output_dir(config)
     (m1, w1, tr1, bs1), (m2, w2, tr2, bs2) = _run_surfaces(config, base, config.perturbations)
     # perturbation renormalizes the area, so sharing the mesh does not settle these
     area1 = tr1.samples[0].curvature.total_area
@@ -450,9 +453,26 @@ def run_pair_experiment(config):
     )
 
 
+def _make_output_dir(config):
+    """Create the output directory, if any, before a flow starts, so that a
+    path that cannot be one fails at once rather than after the flows."""
+    if config.output_dir:
+        try:
+            os.makedirs(config.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output_dir: {exc}") from exc
+
+
 def _emit(config, report_dict, surfaces):
-    """Write the artifacts; ``surfaces`` lists ``(subdirectory, trace, branch_set)``."""
+    """Write the artifacts; ``surfaces`` lists ``(subdirectory, trace, branch_set)``.
+
+    A report left by an earlier run goes first and the new one is written
+    last, so a write that fails leaves no report beside a mix of old and new
+    artifacts, and ``ricciflow audit`` refuses the directory.
+    """
     out_dir = config.output_dir
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "report.json"))
     for sub, trace, branch_set in surfaces:
         path = os.path.join(out_dir, sub)
         os.makedirs(path, exist_ok=True)

@@ -11,8 +11,10 @@ timestamp lives on its own line and is easy to exclude from comparisons.
 from __future__ import annotations
 
 import array
+import contextlib
 import datetime
 import json
+import os
 
 import numpy as np
 
@@ -160,8 +162,19 @@ def _emit(obj, depth):
 
 
 def write_report_json(path, report_dict):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(canonical_json(report_dict))
+    """Write ``report_dict`` as canonical JSON through a temporary file beside
+    ``path`` and ``os.replace``, so that ``path`` never holds part of a
+    report; a failed write leaves no temporary file."""
+    text = canonical_json(report_dict)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def timestamp():

@@ -707,6 +707,63 @@ def test_cli_exit_one_on_violated_check(tmp_path):
     assert bad and all(c["worst_margin"] < 0 for c in bad)
 
 
+def test_cli_config_with_a_non_ascii_byte_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"version": 1, "output_dir": "r\xffsultats"}')
+    for kind in ("flow", "pair"):
+        assert cli_main([kind, "--config", str(cfg), "--quiet"]) == 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("cannot read config")
+
+
+@pytest.mark.parametrize("kind", ["flow", "pair"])
+def test_cli_output_dir_that_cannot_be_created_fails_before_any_flow(kind, tmp_path, capsys,
+                                                                     monkeypatch):
+    import ricciflow.experiment as exp
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow started before the output directory was made")
+
+    monkeypatch.setattr(exp, "_run_surfaces", no_flow)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _kind_config(kind))
+    code = cli_main([kind, "--config", str(cfg), "--out", str(afile / "sub"), "--quiet"])
+    assert code == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("cannot create output_dir")
+
+
+def test_failed_rerun_leaves_no_report_for_audit(tmp_path, capsys, monkeypatch):
+    # a second run into a used directory that fails mid-emit must not leave
+    # the first run's report beside its own new artifacts
+    import ricciflow.experiment as exp
+
+    out = tmp_path / "out"
+    run_flow_experiment(ExperimentConfig.from_dict(_config_dict(output_dir=str(out))))
+    assert (out / "report.json").exists()
+
+    def broken(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(exp, "write_spectrum_csv", broken)
+    second = _config_dict(flow={"spectrum_every": 20, "k": 8, "seed": 4}, output_dir=str(out))
+    with pytest.raises(OSError, match="no space left"):
+        run_flow_experiment(ExperimentConfig.from_dict(second))
+    assert not (out / "report.json").exists()
+    assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == []
+    assert cli_main(["audit", "--dir", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     _write_config(cfg, _config_dict(perturbations=[{"amplitude": 5.0, "seed": 1}]))
@@ -890,6 +947,20 @@ def test_cli_flow_exit_contract_on_mutated_configs(tmp_path_factory, target, val
         assert len(lines) == 1
         error = getattr(errors_module, json.loads(lines[0])["error"])
         assert issubclass(error, errors_module.RicciFlowError)
+
+
+def test_benchmark_traced_entry_points_exist(monkeypatch):
+    # perfbench/tracer.py wraps each (module, attribute) of TARGETS; one that
+    # a refactor renamed away must fail here, not in the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_module)
+    spec.loader.exec_module(tracer_module)
+    assert len(tracer_module.TARGETS) > 20
+    for module, attribute, _ in tracer_module.TARGETS:
+        assert module.split(".")[0] == "ricciflow"
+        assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
 
 
 def test_benchmark_tracer_records_experiment_spans(monkeypatch, tmp_path):

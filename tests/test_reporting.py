@@ -160,3 +160,23 @@ def test_plot_series(tmp_path):
     write_plot_series(path, [0.0, 1.0], [2.0, 3.0])
     rows = path.read_text().splitlines()
     assert rows == ["0 2", "1 3"]
+
+
+def test_write_report_json_replaces_the_file_whole(tmp_path, monkeypatch):
+    # the report goes through a temporary file beside it; a failed write
+    # keeps the old report and leaves no temporary file
+    import ricciflow.reporting as reporting
+
+    path = tmp_path / "report.json"
+    write_report_json(path, {"run": 1})
+    assert read_report_json(path) == {"run": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(reporting.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_report_json(path, {"run": 2})
+    assert read_report_json(path) == {"run": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
