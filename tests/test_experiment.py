@@ -957,7 +957,7 @@ def test_benchmark_traced_entry_points_exist(monkeypatch):
     tracer_module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer_module)
     spec.loader.exec_module(tracer_module)
-    assert len(tracer_module.TARGETS) > 20
+    assert tracer_module.TARGETS
     for module, attribute, _ in tracer_module.TARGETS:
         assert module.split(".")[0] == "ricciflow"
         assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
