@@ -28,7 +28,7 @@ from .mesh import generate_genus2, load_off
 from .reporting import (
     json_object,
     timestamp,
-    write_plot_series,
+    write_plot_series,  # not called: perfbench/tracer.py's TARGETS patches it here
     write_report_json,
     write_spectrum_csv,
     write_trace_csv,
@@ -63,10 +63,6 @@ class ExperimentConfig:
     perturbations: tuple
     flow: FlowConfig
     output_dir: str | None
-    emit_trace_csv: bool
-    emit_spectrum_csv: bool
-    emit_report_json: bool
-    emit_plot_data: bool
     c_disc: float
     tol_ratio: float
 
@@ -98,12 +94,6 @@ class ExperimentConfig:
             "area": self.area_normalization,
             "perturbations": [asdict(p) for p in self.perturbations],
             "flow": asdict(self.flow),
-            "emit": {
-                "trace_csv": self.emit_trace_csv,
-                "spectrum_csv": self.emit_spectrum_csv,
-                "report_json": self.emit_report_json,
-                "plot_data": self.emit_plot_data,
-            },
             "checks": {
                 "c_disc": self.c_disc,
                 "tol_ratio": self.tol_ratio,
@@ -113,7 +103,7 @@ class ExperimentConfig:
 
 
 def _fields(data):
-    top = {"version", "mesh", "area", "perturbations", "flow", "emit", "checks", "output_dir"}
+    top = {"version", "mesh", "area", "perturbations", "flow", "checks", "output_dir"}
     json_object(data, "config", top)
     if data.get("version") != 1:
         raise ConfigError("config requires 'version': 1")
@@ -140,8 +130,6 @@ def _fields(data):
         specs.append(PerturbationSpec(amplitude, seed))
 
     flow = json_object(data.get("flow", {}), "flow", FlowConfig.__dataclass_fields__)
-    emit_keys = {"trace_csv", "spectrum_csv", "report_json", "plot_data"}
-    emit = json_object(data.get("emit", {}), "emit", emit_keys)
     checks = json_object(data.get("checks", {}), "checks", {"c_disc", "tol_ratio"})
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -153,22 +141,11 @@ def _fields(data):
         "perturbations": tuple(specs),
         "flow": FlowConfig(**flow),
         "output_dir": output_dir,
-        "emit_trace_csv": _flag(emit, "trace_csv", True),
-        "emit_spectrum_csv": _flag(emit, "spectrum_csv", True),
-        "emit_report_json": _flag(emit, "report_json", True),
-        "emit_plot_data": _flag(emit, "plot_data", False),
         "c_disc": float(real_number(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc")),
         "tol_ratio": float(
             real_number(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio")
         ),
     }
-
-
-def _flag(emit, key, default):
-    value = emit.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"emit '{key}' must be true or false, got {value!r}")
-    return value
 
 
 @dataclass
@@ -464,7 +441,10 @@ def _make_output_dir(config):
 
 
 def _emit(config, report_dict, surfaces):
-    """Write the artifacts; ``surfaces`` lists ``(subdirectory, trace, branch_set)``.
+    """Write the one artifact set that ``ricciflow audit`` reads:
+    ``config_resolved.json``, a ``trace.csv`` and a ``spectrum.csv`` in the
+    subdirectory of each ``(subdirectory, trace, branch_set)`` of ``surfaces``,
+    and ``report.json``.
 
     A report left by an earlier run goes first and the new one is written
     last, so a write that fails leaves no report beside a mix of old and new
@@ -476,22 +456,7 @@ def _emit(config, report_dict, surfaces):
     for sub, trace, branch_set in surfaces:
         path = os.path.join(out_dir, sub)
         os.makedirs(path, exist_ok=True)
-        if config.emit_trace_csv:
-            write_trace_csv(os.path.join(path, "trace.csv"), trace)
-        if config.emit_spectrum_csv:
-            write_spectrum_csv(os.path.join(path, "spectrum.csv"), branch_set)
-        if config.emit_plot_data:
-            write_plot_series(
-                os.path.join(path, "plot_curvature_deviation.txt"),
-                trace.steps["t"],
-                trace.steps["max_dev"],
-            )
-            for b in range(branch_set.k):
-                write_plot_series(
-                    os.path.join(path, f"plot_eigenvalue_branch_{b}.txt"),
-                    branch_set.times,
-                    branch_set.values[b],
-                )
+        write_trace_csv(os.path.join(path, "trace.csv"), trace)
+        write_spectrum_csv(os.path.join(path, "spectrum.csv"), branch_set)
     write_report_json(os.path.join(out_dir, "config_resolved.json"), config.to_dict())
-    if config.emit_report_json:
-        write_report_json(os.path.join(out_dir, "report.json"), report_dict)
+    write_report_json(os.path.join(out_dir, "report.json"), report_dict)

@@ -55,7 +55,6 @@ def _config_dict(**overrides):
         "area": "minus_two_pi_chi",
         "perturbations": [{"amplitude": 0.02, "seed": 11}],
         "flow": {"spectrum_every": 30, "k": 8, "seed": 3},
-        "emit": {"plot_data": False},
     }
     data.update(overrides)
     return data
@@ -110,6 +109,15 @@ def test_config_round_trip():
     assert again == config
 
 
+def test_readme_flow_config_parses():
+    # the README's example is a config the current schema accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("A flow config looks like:", 1)[1]
+    block = example.split("```json\n", 1)[1].split("```", 1)[0]
+    config = ExperimentConfig.from_dict(json.loads(block))
+    assert config.generator_level == 2 and len(config.perturbations) == 1
+
+
 def test_flow_experiment_artifacts(tmp_path):
     data = _config_dict(output_dir=str(tmp_path / "out"))
     config = ExperimentConfig.from_dict(data)
@@ -117,8 +125,10 @@ def test_flow_experiment_artifacts(tmp_path):
     assert artifacts.trace.converged
     assert artifacts.report_dict["all_satisfied"]
     out = tmp_path / "out"
-    for name in ("config_resolved.json", "trace.csv", "spectrum.csv", "report.json"):
-        assert (out / name).exists(), name
+    assert sorted(os.listdir(out)) == [
+        "config_resolved.json", "report.json", "spectrum.csv", "trace.csv"
+    ]
+    assert "emit" not in read_report_json(out / "config_resolved.json")
     report = read_report_json(out / "report.json")
     names = {c["name"] for c in report["checks"]}
     assert {
@@ -606,6 +616,11 @@ def test_cli_pair_and_audit(tmp_path):
     )
     assert cli_main(["pair", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert cli_main(["audit", "--dir", str(out), "--quiet"]) == 0
+    assert sorted(os.listdir(out)) == [
+        "audit_report.json", "config_resolved.json", "report.json", "surface_1", "surface_2"
+    ]
+    for sub in ("surface_1", "surface_2"):
+        assert sorted(os.listdir(out / sub)) == ["spectrum.csv", "trace.csv"]
     live = read_report_json(out / "report.json")
     expected = [
         dict(check, name=f"{surface}/{check['name']}")
@@ -786,7 +801,7 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
     "data, extra",
     [
         pytest.param([1], [], id="top_level_list"),
-        pytest.param(_config_dict(emit=5), [], id="emit_int"),
+        pytest.param(_config_dict(emit={"plot_data": False}), [], id="emit"),
         pytest.param(_config_dict(mesh={"level": "x"}), [], id="level_str"),
         pytest.param(_config_dict(mesh={"level": -1}), [], id="level_negative"),
         pytest.param(_config_dict(perturbations=[{"seed": "abc"}]), [], id="pert_seed_str"),
@@ -801,7 +816,6 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
         pytest.param(_config_dict(flow={"spectrum_every": 2.5}), [], id="spectrum_every_float"),
         pytest.param(_config_dict(), ["--seed", "-1"], id="cli_seed_negative"),
         pytest.param(_config_dict(output_dir=5), [], id="output_dir_int"),
-        pytest.param(_config_dict(emit={"plot_data": "no"}), [], id="emit_str"),
         pytest.param(_config_dict(checks={"c_disc": True}), [], id="c_disc_bool"),
         pytest.param(_config_dict(checks={"c_disc": "10"}), [], id="c_disc_str"),
         pytest.param(_config_dict(perturbations=[{"amplitude": True}]), [], id="amplitude_bool"),
@@ -819,6 +833,8 @@ def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):
     assert cli_main(["flow", "--config", str(cfg), "--quiet", *extra]) == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "ConfigError"
+    if "emit" in data:  # the artifact set is fixed: the removed switches are unknown keys
+        assert "emit" in payload["message"]
 
 
 def test_cli_flow_aborts_when_step_size_below_dt_min(tmp_path, capsys):
