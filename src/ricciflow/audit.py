@@ -45,7 +45,10 @@ def audit_directory(path):
         "checks": checks,
         "all_satisfied": all(c["satisfied"] for c in checks),
     }
-    write_report_json(os.path.join(path, "audit_report.json"), result)
+    try:
+        write_report_json(os.path.join(path, "audit_report.json"), result)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the audit report in {path}: {exc}") from exc
     return result
 
 

@@ -1,6 +1,6 @@
 """Command-line surface: gen, flow, pair, timemap, and audit subcommands.
 
-Exit status is 0 when every enabled check is satisfied, 1 when some check
+Exit status is 0 when every check is satisfied, 1 when some check
 failed, and 2 on errors (reported as a single JSON object on stdout so
 failures stay machine-readable).
 
@@ -111,7 +111,10 @@ def _cmd_gen(args):
         f"R in [{fld.R_min:.6f}, {fld.R_max:.6f}]",
     )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         payload = {
             "version": 1,
             "vertex_count": mesh.vertex_count,

@@ -38,9 +38,25 @@ def format_float(x):
     return format(float(x), ".17g")
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """An ASCII text file that ``os.replace`` moves over ``path`` once it is
+    written whole, so that ``path`` never holds part of an artifact; a write
+    that fails leaves ``path`` as it was and no temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_trace_csv(path, trace):
     columns = [trace.steps[key] for key in TRACE_COLUMNS.values()]
-    with open(path, "w", encoding="ascii") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for row in zip(*columns):
             fh.write(",".join(format_float(x) for x in row) + "\n")
@@ -86,7 +102,7 @@ def write_spectrum_csv(path, branch_set):
         + [f"sorted_{b}" for b in range(k)]
         + [f"flag_{b}" for b in range(k)]
     )
-    with open(path, "w", encoding="ascii") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for j, t in enumerate(branch_set.times):
             row = [format_float(t)]
@@ -109,7 +125,7 @@ def read_spectrum_csv(path):
 
 
 def write_plot_series(path, x, y):
-    with open(path, "w", encoding="ascii") as fh:
+    with _replacing(path) as fh:
         for xi, yi in zip(x, y):
             fh.write(f"{format_float(xi)} {format_float(yi)}\n")
 
@@ -162,19 +178,9 @@ def _emit(obj, depth):
 
 
 def write_report_json(path, report_dict):
-    """Write ``report_dict`` as canonical JSON through a temporary file beside
-    ``path`` and ``os.replace``, so that ``path`` never holds part of a
-    report; a failed write leaves no temporary file."""
-    text = canonical_json(report_dict)
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    """Write ``report_dict`` as canonical JSON."""
+    with _replacing(path) as fh:
+        fh.write(canonical_json(report_dict))
 
 
 def timestamp():

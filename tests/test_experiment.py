@@ -756,6 +756,17 @@ def test_cli_output_dir_that_cannot_be_created_fails_before_any_flow(kind, tmp_p
     assert payload["message"].startswith("cannot create output_dir")
 
 
+def test_cli_gen_output_dir_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    assert cli_main(["gen", "--level", "0", "--out", str(afile / "sub"), "--quiet"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("cannot create output directory")
+
+
 def test_failed_rerun_leaves_no_report_for_audit(tmp_path, capsys, monkeypatch):
     # a second run into a used directory that fails mid-emit must not leave
     # the first run's report beside its own new artifacts
@@ -1126,6 +1137,19 @@ def test_cli_audit_malformed_artifacts(flow_dir, tmp_path, capsys, corrupt):
     assert cli_main(["audit", "--dir", str(broken), "--quiet"]) == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "ConfigError"
+
+
+def test_cli_audit_report_that_cannot_be_written_is_a_config_error(flow_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(flow_dir, out)
+    (out / "audit_report.json").mkdir()
+    assert cli_main(["audit", "--dir", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("cannot write the audit report")
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_thread_variable_overrides_blas_settings():

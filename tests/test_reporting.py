@@ -180,3 +180,36 @@ def test_write_report_json_replaces_the_file_whole(tmp_path, monkeypatch):
         write_report_json(path, {"run": 2})
     assert read_report_json(path) == {"run": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("name", ["trace.csv", "spectrum.csv"])
+def test_csv_write_that_fails_midway_leaves_no_partial_file(run1, tmp_path, monkeypatch, name):
+    # every artifact goes through a temporary file beside it: a CSV write
+    # that fails after a few rows keeps the complete CSV already there, or
+    # leaves none, and never a temporary file
+    import ricciflow.reporting as reporting
+
+    trace = run1["trace"]
+    write, artifact = {
+        "trace.csv": (write_trace_csv, trace),
+        "spectrum.csv": (write_spectrum_csv, track_branches(trace.snapshots())),
+    }[name]
+    real = reporting.format_float
+    calls = []
+
+    def fail_after_a_few_rows(x):
+        calls.append(x)
+        if len(calls) > 50:
+            raise OSError("disk full")
+        return real(x)
+
+    path = tmp_path / name
+    write(path, artifact)
+    complete = path.read_bytes()
+    monkeypatch.setattr(reporting, "format_float", fail_after_a_few_rows)
+    for target in (path, tmp_path / f"fresh_{name}"):
+        calls.clear()
+        with pytest.raises(OSError, match="disk full"):
+            write(target, artifact)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+    assert path.read_bytes() == complete
