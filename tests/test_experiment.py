@@ -813,6 +813,8 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
     [
         pytest.param([1], [], id="top_level_list"),
         pytest.param(_config_dict(emit={"plot_data": False}), [], id="emit"),
+        pytest.param(_config_dict(emit=5), [], id="emit_int"),
+        pytest.param(_config_dict(emit={"plot_data": "no"}), [], id="emit_str"),
         pytest.param(_config_dict(mesh={"level": "x"}), [], id="level_str"),
         pytest.param(_config_dict(mesh={"level": -1}), [], id="level_negative"),
         pytest.param(_config_dict(perturbations=[{"seed": "abc"}]), [], id="pert_seed_str"),
