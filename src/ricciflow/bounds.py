@@ -10,9 +10,10 @@ against known violations.
 Tolerances budget only discretization and solver error; the inequalities
 themselves are theorems for the smooth objects. The envelope slack is
 ``c_disc * h^2 * |r|`` with ``h`` the mean edge length (h^2 being the
-leading consistency error of the discrete curvature), ``c_disc``
-overridable; ratio checks take an absolute slack ``tol_ratio`` on the
-eigenvalue ratio.
+leading consistency error of the discrete curvature); ratio checks take an
+absolute slack ``tol_ratio`` on the eigenvalue ratio. Experiments use the
+constants ``DEFAULT_C_DISC`` and ``DEFAULT_TOL_RATIO`` and record them in
+each report's inputs, which is where ``audit`` reads them.
 
 ``surface_checks`` and ``pair_checks`` decide which checks run, on which
 branches and eigenvalues, and with which tolerances. They read a series

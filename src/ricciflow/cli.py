@@ -4,10 +4,10 @@ Exit status is 0 when every check is satisfied, 1 when some check
 failed, and 2 on errors (reported as a single JSON object on stdout so
 failures stay machine-readable).
 
-The ``RICCIFLOW_THREADS`` environment variable caps the numeric thread
-pools (default: all logical processors); importing the package, before numpy,
-applies it. Results are deterministic at the documented tolerances
-regardless of its value.
+The standard ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` variables cap the numeric thread pools (default: all
+logical processors). Results are deterministic at the documented tolerances
+regardless of their values.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from . import bounds as bnd
 from .errors import ConfigError, FlowAbortError, HypothesisError
 from .flow import FlowConfig, FlowTrace, integer_at_least, monotonicity_violations, real_number
 from .flow import run_flow, solve_sample, solve_snapshots
-from .geometry import ConformalMetric, normalize_area, perturb_metric
+from .geometry import ConformalMetric, curvature_window, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
 from .reporting import (
     json_object,
@@ -63,8 +63,6 @@ class ExperimentConfig:
     perturbations: tuple
     flow: FlowConfig
     output_dir: str | None
-    c_disc: float
-    tol_ratio: float
 
     def __post_init__(self):
         if (self.generator_level is None) == (self.off_path is None):
@@ -94,16 +92,12 @@ class ExperimentConfig:
             "area": self.area_normalization,
             "perturbations": [asdict(p) for p in self.perturbations],
             "flow": asdict(self.flow),
-            "checks": {
-                "c_disc": self.c_disc,
-                "tol_ratio": self.tol_ratio,
-            },
             "output_dir": self.output_dir,
         }
 
 
 def _fields(data):
-    top = {"version", "mesh", "area", "perturbations", "flow", "checks", "output_dir"}
+    top = {"version", "mesh", "area", "perturbations", "flow", "output_dir"}
     json_object(data, "config", top)
     if data.get("version") != 1:
         raise ConfigError("config requires 'version': 1")
@@ -130,7 +124,6 @@ def _fields(data):
         specs.append(PerturbationSpec(amplitude, seed))
 
     flow = json_object(data.get("flow", {}), "flow", FlowConfig.__dataclass_fields__)
-    checks = json_object(data.get("checks", {}), "checks", {"c_disc", "tol_ratio"})
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a path string or null, got {output_dir!r}")
@@ -141,10 +134,6 @@ def _fields(data):
         "perturbations": tuple(specs),
         "flow": FlowConfig(**flow),
         "output_dir": output_dir,
-        "c_disc": float(real_number(checks.get("c_disc", bnd.DEFAULT_C_DISC), "c_disc")),
-        "tol_ratio": float(
-            real_number(checks.get("tol_ratio", bnd.DEFAULT_TOL_RATIO), "tol_ratio")
-        ),
     }
 
 
@@ -206,13 +195,14 @@ def _run_surfaces(config, base, specs, progress=None):
     as it arrives and tracks its spectrum at once, with the sample's
     curvature field, so that the residual stencils are evaluated as they
     complete. No trace keeps an eigenvector matrix or a mass diagonal, and no
-    branch set keeps a vector. A flow's own error is raised here, a flow
-    process that dies raises FlowAbortError, and every one is joined on every
-    way out.
+    branch set keeps a vector. The metric and the curvature window are read
+    from the first sample, the perturbed start state. A flow's own error is
+    raised here, a flow process that dies raises FlowAbortError, and every one
+    is joined on every way out.
     """
     context = fork_context()
     processes, pipes, pending = [], {}, []  # pending: (surface, sample) not yet solved
-    windows, ends = [None] * len(specs), [None] * len(specs)
+    ends = [None] * len(specs)
     samples, outcomes = [[] for _ in specs], [[] for _ in specs]
     trackers = [BranchTracker(bnd.checked_branches(config.flow.k)) for _ in specs]
     try:
@@ -237,8 +227,6 @@ def _run_surfaces(config, base, specs, progress=None):
                     if kind == "sample":
                         samples[i].append(body[0])
                         pending.append((i, body[0]))
-                    elif kind == "window":
-                        windows[i] = body[0]
                     elif kind == "progress":
                         progress(*body)
                     elif kind == "error":
@@ -263,19 +251,20 @@ def _run_surfaces(config, base, specs, progress=None):
             process.join()
 
     surfaces = []
-    for stored, (steps, converged, warnings), solved, window, tracker in zip(
-        samples, ends, outcomes, windows, trackers
+    for stored, (steps, converged, warnings), solved, tracker in zip(
+        samples, ends, outcomes, trackers
     ):
         trace = FlowTrace(base.mesh, base.base_lengths, config.flow, steps, stored, converged,
                           warnings)
         solve_snapshots(trace, solved)
-        surfaces.append((base.with_u(stored[0].u), window, trace, track_branches(tracker)))
+        surfaces.append((base.with_u(stored[0].u), curvature_window(stored[0].curvature), trace,
+                         track_branches(tracker)))
     return surfaces
 
 
 def _flow_process(pipe, receivers, config, base, spec, report_progress):
-    """Perturb ``base`` by ``spec``, send ``("window", (alpha, beta))`` and run
-    the flow, which sends each ``("sample", FlowSample)`` as it stores it and,
+    """Perturb ``base`` by ``spec`` and run the flow, which sends each
+    ``("sample", FlowSample)`` as it stores it, the start state first, and,
     if asked, ``("progress", t, max_dev, dt)`` down ``pipe``; then send
     ``("done", steps, converged, warnings)`` or ``("error", exc)``. No message
     holds more than one sample. The read ends the fork copied, ``receivers``,
@@ -285,8 +274,7 @@ def _flow_process(pipe, receivers, config, base, spec, report_progress):
         receiver.close()
     try:
         try:
-            metric, window = perturb_metric(base, spec.amplitude, spec.seed)
-            pipe.send(("window", window))
+            metric, _ = perturb_metric(base, spec.amplitude, spec.seed)
             progress = (lambda *state: pipe.send(("progress", *state))) if report_progress else None
             trace = run_flow(metric, config.flow, progress=progress,
                              on_sample=lambda s: pipe.send(("sample", s)))
@@ -309,8 +297,8 @@ def _surface_block(config, window, trace, branch_set):
         "genus": int(mesh.genus),
         "vertices": int(mesh.vertex_count),
         "mean_edge_length": bnd.mean_edge_length(trace),
-        "c_disc": config.c_disc,
-        "tol_ratio": config.tol_ratio,
+        "c_disc": bnd.DEFAULT_C_DISC,
+        "tol_ratio": bnd.DEFAULT_TOL_RATIO,
         "overlap_min": DEFAULT_OVERLAP_MIN,
         "gap_tol": DEFAULT_GAP_TOL,
         "k": config.flow.k,
@@ -401,7 +389,7 @@ def run_pair_experiment(config):
 
     q_hat, delta_hat = bnd.distortion_upper_bound(tr1.limit, tr2.limit)
     checks, factor = bnd.pair_checks(
-        bs1.sorted_values, bs2.sorted_values, window, tr1.r, delta_hat, config.tol_ratio
+        bs1.sorted_values, bs2.sorted_values, window, tr1.r, delta_hat, bnd.DEFAULT_TOL_RATIO
     )
     # the merged window makes these inputs equal on both surfaces
     shared = ("alpha", "beta", "r", "area", "chi", "genus", "vertices", "c_disc", "tol_ratio", "k")

@@ -36,7 +36,7 @@ from ricciflow.experiment import (
     run_flow_experiment,
     run_pair_experiment,
 )
-from ricciflow.geometry import perturb_metric, scale_metric
+from ricciflow.geometry import curvature_window, perturb_metric, scale_metric
 from ricciflow.reporting import read_report_json, write_report_json
 from ricciflow.tracking import (
     BranchTracker,
@@ -67,6 +67,7 @@ def test_config_rejects_unknown_keys():
         _config_dict(flow={"dt_weird": 1.0}),
         _config_dict(emit={"pdf": True}),
         _config_dict(checks={"c_disk": 1.0}),
+        _config_dict(checks={"c_disc": 10.0, "tol_ratio": 0.02}),  # constants since removed
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(broken)
@@ -78,7 +79,7 @@ def test_config_rejects_unknown_keys():
         {"perturbations": [{"amplitude": float("nan"), "seed": 1}]},
         {"flow": {"dt_init": float("nan")}},
         {"flow": {"t_max": float("nan")}},
-        {"checks": {"c_disc": float("inf")}},
+        {"flow": {"eig_tol": float("inf")}},
     ],
 )
 def test_config_rejects_non_finite_values(overrides):
@@ -128,8 +129,11 @@ def test_flow_experiment_artifacts(tmp_path):
     assert sorted(os.listdir(out)) == [
         "config_resolved.json", "report.json", "spectrum.csv", "trace.csv"
     ]
-    assert "emit" not in read_report_json(out / "config_resolved.json")
+    resolved = read_report_json(out / "config_resolved.json")
+    assert "emit" not in resolved and "checks" not in resolved
     report = read_report_json(out / "report.json")
+    # the check tolerances are constants, recorded where audit reads them
+    assert (report["inputs"]["c_disc"], report["inputs"]["tol_ratio"]) == (10.0, 0.02)
     names = {c["name"] for c in report["checks"]}
     assert {
         "curvature_envelope_lower",
@@ -393,6 +397,19 @@ def test_surfaces_match_in_process_runs(kind):
                               normalization_rate_residuals(expected, expected_branches, checked))
 
 
+@pytest.mark.parametrize("level", [2, 3])
+def test_first_sample_window_is_the_perturbation_window(level):
+    # the parent reads each surface's curvature window from its flow's first
+    # sample, not from perturb_metric: the two must agree bit for bit
+    config = ExperimentConfig.from_dict(_config_dict(mesh={"generator": "genus2", "level": level}))
+    base = build_base_metric(config)
+    for amplitude, seed in ((0.02, 11), (-0.02, 5), (0.02, 5), (0.0, 0)):
+        metric, window = perturb_metric(base, amplitude, seed)
+        first = []
+        flow_module.run_flow(metric, replace(config.flow, t_max=1e-6), on_sample=first.append)
+        assert curvature_window(first[0].curvature) == window, (amplitude, seed)
+
+
 def _arrays(obj):
     """Every NumPy array in ``obj``, through containers and dataclass fields."""
     if isinstance(obj, np.ndarray):
@@ -442,9 +459,7 @@ def test_experiment_keeps_no_branch_vectors(kind, monkeypatch):
         assert np.isnan(table[:, :, [0, -1]]).all() and np.isfinite(table[:, :, 1:-1]).all()
 
     samples = sum(len(trace.samples) for _, _, trace, _ in surfaces)
-    assert Counter(tag for tag, *_ in messages) == {
-        "window": len(surfaces), "sample": samples, "done": len(surfaces)
-    }
+    assert Counter(tag for tag, *_ in messages) == {"sample": samples, "done": len(surfaces)}
     n = surfaces[0][2].mesh.vertex_count
     for tag, *body in messages:
         arrays = list(_arrays(body))
@@ -600,6 +615,30 @@ def test_cli_flow_and_audit(tmp_path):
     # the audit reproduces the live checks exactly, vertex witnesses included
     assert audit["checks"] == read_report_json(out / "report.json")["checks"]
     assert all(isinstance(c["witness"]["index"], int) for c in audit["checks"])
+
+
+@pytest.mark.parametrize("extra", [[], ["--seed", "7"]], ids=["config_seed", "cli_seed"])
+@pytest.mark.parametrize("kind", ["flow", "pair"])
+def test_config_resolved_loads_back_into_the_run_config(kind, extra, tmp_path, monkeypatch):
+    # config_resolved.json parses back into the very config the run used,
+    # with the CLI's --out and --seed applied
+    import ricciflow.experiment as exp
+
+    name = f"run_{kind}_experiment"
+    real, configs = getattr(exp, name), []
+
+    def run(config, **kwargs):
+        configs.append(config)
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(exp, name, run)
+    cfg = tmp_path / "config.json"
+    out = tmp_path / "out"
+    _write_config(cfg, _kind_config(kind))
+    assert cli_main([kind, "--config", str(cfg), "--out", str(out), "--quiet", *extra]) in (0, 1)
+    [config] = configs
+    assert config.output_dir == str(out) and config.flow.seed == (7 if extra else 3)
+    assert ExperimentConfig.from_dict(read_report_json(out / "config_resolved.json")) == config
 
 
 def test_cli_pair_and_audit(tmp_path):
@@ -837,6 +876,8 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
         pytest.param(_config_dict(flow={"t_max": float("inf")}), [], id="t_max_infinity"),
         pytest.param(_config_dict(checks={"c_disc": 10**400}), [], id="c_disc_huge_int"),
         pytest.param(_config_dict(mesh={"off": 5}), [], id="off_int"),
+        # the check tolerances are constants: the removed block is an unknown key
+        pytest.param(_config_dict(checks={"c_disc": 10.0, "tol_ratio": 0.02}), [], id="checks"),
     ],
 )
 def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):
@@ -846,8 +887,9 @@ def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):
     assert cli_main(["flow", "--config", str(cfg), "--quiet", *extra]) == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "ConfigError"
-    if "emit" in data:  # the artifact set is fixed: the removed switches are unknown keys
-        assert "emit" in payload["message"]
+    for removed in ("emit", "checks"):  # removed blocks are named as unknown keys
+        if removed in data:
+            assert removed in payload["message"]
 
 
 def test_cli_flow_aborts_when_step_size_below_dt_min(tmp_path, capsys):
@@ -1154,19 +1196,6 @@ def test_cli_audit_report_that_cannot_be_written_is_a_config_error(flow_dir, tmp
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
-def test_thread_variable_overrides_blas_settings():
-    import ricciflow
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ricciflow.__file__)))
-    env = dict(os.environ, RICCIFLOW_THREADS="1", OPENBLAS_NUM_THREADS="4", PYTHONPATH=src)
-    code = "import os, ricciflow; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "1"
-
-
 @pytest.mark.parametrize("failing", ["start", "last", "every"])
 def test_missing_start_snapshot_is_typed_error(monkeypatch, tmp_path, capsys, failing):
     # the ratio and comparison checks need the spectra at t = 0 and at the
@@ -1213,7 +1242,8 @@ def test_artifacts_independent_of_thread_count(tmp_path):
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, RICCIFLOW_THREADS=threads, PYTHONPATH=src)
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-m", "ricciflow.cli", "flow", "--config", str(cfg),
              "--out", str(out), "--quiet"],
