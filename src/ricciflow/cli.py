@@ -115,6 +115,7 @@ def _cmd_gen(args):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
+        path = os.path.join(args.out, "mesh.json")
         payload = {
             "version": 1,
             "vertex_count": mesh.vertex_count,
@@ -124,8 +125,11 @@ def _cmd_gen(args):
             "edges": mesh.edges.tolist(),
             "base_lengths": [float(x) for x in base_lengths],
         }
-        write_report_json(os.path.join(args.out, "mesh.json"), payload)
-        _say(args, f"wrote {os.path.join(args.out, 'mesh.json')}")
+        try:
+            write_report_json(path, payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        _say(args, f"wrote {path}")
     return 0
 
 

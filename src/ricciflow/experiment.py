@@ -436,15 +436,24 @@ def _emit(config, report_dict, surfaces):
 
     A report left by an earlier run goes first and the new one is written
     last, so a write that fails leaves no report beside a mix of old and new
-    artifacts, and ``ricciflow audit`` refuses the directory.
+    artifacts, and ``ricciflow audit`` refuses the directory. A path that
+    cannot be removed or written raises ConfigError naming it.
     """
     out_dir = config.output_dir
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, "report.json"))
+    report = os.path.join(out_dir, "report.json")
+    writes = []
     for sub, trace, branch_set in surfaces:
-        path = os.path.join(out_dir, sub)
-        os.makedirs(path, exist_ok=True)
-        write_trace_csv(os.path.join(path, "trace.csv"), trace)
-        write_spectrum_csv(os.path.join(path, "spectrum.csv"), branch_set)
-    write_report_json(os.path.join(out_dir, "config_resolved.json"), config.to_dict())
-    write_report_json(os.path.join(out_dir, "report.json"), report_dict)
+        writes.append((os.path.join(out_dir, sub, "trace.csv"), write_trace_csv, trace))
+        writes.append((os.path.join(out_dir, sub, "spectrum.csv"), write_spectrum_csv, branch_set))
+    writes.append((os.path.join(out_dir, "config_resolved.json"), write_report_json,
+                   config.to_dict()))
+    writes.append((report, write_report_json, report_dict))
+    path = report
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(report)
+        for path, write, payload in writes:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write(path, payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc

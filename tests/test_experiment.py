@@ -806,6 +806,39 @@ def test_cli_gen_output_dir_that_cannot_be_created_is_a_config_error(tmp_path, c
     assert payload["message"].startswith("cannot create output directory")
 
 
+def test_cli_gen_mesh_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "mesh.json").mkdir(parents=True)
+    assert cli_main(["gen", "--level", "0", "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"cannot write {out / 'mesh.json'}:")
+    assert list(out.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("artifact", ["report.json", "trace.csv"])
+@pytest.mark.parametrize("kind", ["flow", "pair"])
+def test_cli_artifact_that_cannot_be_written_is_a_config_error(kind, artifact, tmp_path, capsys):
+    # the artifacts are written after the flows; one whose path is a
+    # directory still ends the run with one JSON ConfigError naming it
+    out = tmp_path / "out"
+    sub = "surface_1" if kind == "pair" and artifact != "report.json" else ""
+    blocked = out / sub / artifact
+    blocked.mkdir(parents=True)
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _kind_config(kind))
+    assert cli_main([kind, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"cannot write {blocked}:")
+    assert not (out / "report.json").is_file()
+    assert list(out.rglob("*.tmp")) == []
+
+
 def test_failed_rerun_leaves_no_report_for_audit(tmp_path, capsys, monkeypatch):
     # a second run into a used directory that fails mid-emit must not leave
     # the first run's report beside its own new artifacts
@@ -820,7 +853,7 @@ def test_failed_rerun_leaves_no_report_for_audit(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(exp, "write_spectrum_csv", broken)
     second = _config_dict(flow={"spectrum_every": 20, "k": 8, "seed": 4}, output_dir=str(out))
-    with pytest.raises(OSError, match="no space left"):
+    with pytest.raises(ConfigError, match="spectrum.csv: no space left"):
         run_flow_experiment(ExperimentConfig.from_dict(second))
     assert not (out / "report.json").exists()
     assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == []
