@@ -67,7 +67,7 @@ def test_config_rejects_unknown_keys():
         _config_dict(flow={"dt_weird": 1.0}),
         _config_dict(emit={"pdf": True}),
         _config_dict(checks={"c_disk": 1.0}),
-        _config_dict(checks={"c_disc": 10.0, "tol_ratio": 0.02}),  # constants since removed
+        _config_dict(checks={"c_disc": 10.0, "tol_ratio": 0.02}),  # the tolerances are constants
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(broken)
