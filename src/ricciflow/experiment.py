@@ -44,9 +44,6 @@ from .tracking import (
     track_branches,
 )
 
-AREA_MODES = ("unit", "minus_two_pi_chi")
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
     amplitude: float
@@ -59,7 +56,6 @@ class ExperimentConfig:
 
     generator_level: int | None
     off_path: str | None
-    area_normalization: str
     perturbations: tuple
     flow: FlowConfig
     output_dir: str | None
@@ -67,8 +63,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.generator_level is None) == (self.off_path is None):
             raise ConfigError("exactly one mesh source required (generator or OFF path)")
-        if self.area_normalization not in AREA_MODES:
-            raise ConfigError(f"area_normalization must be one of {AREA_MODES}")
         if not 1 <= len(self.perturbations) <= 2:
             raise ConfigError("need one perturbation spec (two for the pair pipeline)")
 
@@ -89,7 +83,7 @@ class ExperimentConfig:
         return {
             "version": 1,
             "mesh": mesh,
-            "area": self.area_normalization,
+            "area": "minus_two_pi_chi",
             "perturbations": [asdict(p) for p in self.perturbations],
             "flow": asdict(self.flow),
             "output_dir": self.output_dir,
@@ -115,6 +109,8 @@ def _fields(data):
         if mesh.get("generator", "genus2") != "genus2":
             raise ConfigError("only the 'genus2' generator is available")
         level = integer_at_least(mesh.get("level", 2), 0, "mesh level")
+    if data.get("area", "minus_two_pi_chi") != "minus_two_pi_chi":
+        raise ConfigError("only the 'minus_two_pi_chi' area is available")
 
     specs = []
     for entry in data.get("perturbations", [{}]):
@@ -130,7 +126,6 @@ def _fields(data):
     return {
         "generator_level": level,
         "off_path": off_path,
-        "area_normalization": data.get("area", "minus_two_pi_chi"),
         "perturbations": tuple(specs),
         "flow": FlowConfig(**flow),
         "output_dir": output_dir,
@@ -159,7 +154,7 @@ class PairArtifacts:
 
 
 def build_base_metric(config):
-    """Load or generate the base surface and normalize its area."""
+    """Load or generate the base surface and normalize its area to -2 pi chi."""
     if config.off_path is not None:
         mesh, base_lengths = load_off(config.off_path)
     else:
@@ -167,14 +162,9 @@ def build_base_metric(config):
     # the eigensolver needs k < V/2, and the ratio check a nonzero eigenvalue
     if not 2 <= config.flow.k < mesh.vertex_count / 2:
         raise ConfigError(f"k = {config.flow.k} outside [2, V/2) with V = {mesh.vertex_count}")
-    metric = ConformalMetric.flat(mesh, base_lengths)
-    if config.area_normalization == "unit":
-        target = 1.0
-    else:
-        target = -2.0 * np.pi * mesh.chi
-        if target <= 0.0:
-            raise HypothesisError("minus_two_pi_chi normalization needs chi < 0")
-    return normalize_area(metric, target)
+    if mesh.chi >= 0:
+        raise HypothesisError("minus_two_pi_chi normalization needs chi < 0")
+    return normalize_area(ConformalMetric.flat(mesh, base_lengths), -2.0 * np.pi * mesh.chi)
 
 
 def fork_context():

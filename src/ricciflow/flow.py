@@ -18,12 +18,11 @@ every sample itself.
 from __future__ import annotations
 
 import sys
-import warnings as _warnings
 from dataclasses import dataclass, field as _field, replace
 
 import numpy as np
 
-from .errors import EigensolverError, FlowAbortError, TriangleInequalityError
+from .errors import EigensolverError, FlowAbortError, HypothesisError, TriangleInequalityError
 from .geometry import ConformalMetric, CurvatureField
 from .spectrum import assemble_operators, operator_norm_estimate, smallest_eigenpairs
 
@@ -189,18 +188,15 @@ def _stability_cap(metric_like, seed):
     return CFL_SAFETY * RK4_STABILITY / lam_max
 
 
-def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=None):
+def run_flow(metric, config, progress=None, on_sample=None):
     """Integrate the normalized flow until constant curvature or ``t_max``.
 
     Parameters
     ----------
     metric : ConformalMetric
-        Initial state. Requires genus >= 2 and strictly negative curvature
-        unless ``allow_indefinite`` is set (then only a warning is recorded).
+        Initial state: genus >= 2 and strictly negative curvature, the
+        setting of the comparison theorems, so that ``r < 0``.
     config : FlowConfig
-    allow_indefinite : bool
-        Accept sign-indefinite initial curvature (e.g. flat tori) with a
-        warning instead of an error.
     progress : callable, optional
         Called as ``progress(t, max_dev, dt)`` every few thousand steps.
     on_sample : callable, optional
@@ -215,6 +211,8 @@ def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=No
 
     Raises
     ------
+    HypothesisError
+        If the initial state has genus < 2 or a vertex with ``R >= 0``.
     FlowAbortError
         If the step size, before the clip to ``t_max``, falls below
         ``dt_min`` (the partial trace, its last accepted step sampled, is
@@ -228,19 +226,13 @@ def run_flow(metric, config, allow_indefinite=False, progress=None, on_sample=No
     trace = FlowTrace(mesh, metric.base_lengths, config, steps={}, samples=[], converged=False)
 
     if mesh.genus < 2 or fld.R_max >= 0.0:
-        message = (
+        raise HypothesisError(
             f"initial state outside the admissible class (genus={mesh.genus}, "
             f"R_max={fld.R_max:.4g})"
         )
-        if not allow_indefinite:
-            raise ValueError(message + "; pass allow_indefinite=True to force")
-        _warnings.warn(message, stacklevel=2)
-        trace.warnings.append(message)
 
     target_area = fld.total_area
-    conv_threshold = config.convergence_tol * (
-        abs(fld.r) if fld.r != 0.0 else 4.0 * np.pi / target_area
-    )
+    conv_threshold = config.convergence_tol * abs(fld.r)
 
     def record(t, dt, f):
         row = dict(
@@ -410,20 +402,18 @@ def central_difference(t, f):
     return (h1 * h1 * f[2] - h2 * h2 * f[0] + (h2 * h2 - h1 * h1) * f[1]) / (h1 * h2 * (h1 + h2))
 
 
-def monotonicity_violations(trace, transient_steps=5, threshold=None):
+def monotonicity_violations(trace):
     """Envelope-contraction diagnostic on the per-step extremes.
 
-    After an initial transient, ``R_max`` should not increase nor ``R_min``
-    decrease; events beyond the threshold (default ``1e-6 |r|``) are
+    From accepted step 5 on, past the initial transient, ``R_max`` should
+    not increase nor ``R_min`` decrease; events beyond ``1e-6 |r|`` are
     reported as ``(step, which, size)`` tuples.
     """
-    r = trace.r
-    if threshold is None:
-        threshold = 1e-6 * abs(r)
+    threshold = 1e-6 * abs(trace.r)
     r_max = trace.steps["R_max"]
     r_min = trace.steps["R_min"]
     events = []
-    for i in range(max(1, transient_steps), len(r_max)):
+    for i in range(5, len(r_max)):
         up = r_max[i] - r_max[i - 1]
         down = r_min[i - 1] - r_min[i]
         if up > threshold:

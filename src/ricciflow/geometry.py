@@ -259,13 +259,14 @@ def normalize_area(metric, target):
     return scale_metric(metric, target / metric_area(metric))
 
 
-def curvature_window(field, margin_factor=1e-6):
+def curvature_window(field):
     """Strict curvature bounds ``(alpha, beta)`` measured from a field.
 
-    The margin keeps the bounds strict for the discrete minimizer/maximizer,
-    mirroring the open bounds the comparison results assume.
+    The margin ``1e-6 |R_min|`` keeps the bounds strict for the discrete
+    minimizer/maximizer, mirroring the open bounds the comparison results
+    assume.
     """
-    margin = margin_factor * abs(field.R_min)
+    margin = 1e-6 * abs(field.R_min)
     return field.R_min - margin, field.R_max + margin
 
 

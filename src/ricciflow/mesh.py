@@ -161,31 +161,11 @@ class TriangleMesh:
     def triangle_count(self):
         return self.triangles.shape[0]
 
-    def edge_index(self, pairs):
-        """Map unordered vertex pairs to edge ids (vectorized)."""
-        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
-        keys = self.edges[:, 0] * self.vertex_count + self.edges[:, 1]
-        want = pairs[:, 0] * self.vertex_count + pairs[:, 1]
-        idx = np.searchsorted(keys, want)
-        if np.any(idx >= keys.size) or np.any(keys[np.minimum(idx, keys.size - 1)] != want):
-            raise KeyError("vertex pair is not an edge of this mesh")
-        return idx
-
-    def validate(self):
-        """Re-run all construction checks; a valid mesh always passes."""
-        TriangleMesh(self.vertex_count, np.array(self.triangles))
-        return True
-
     def __repr__(self):
         return (
             f"TriangleMesh(V={self.vertex_count}, E={self.edge_count}, "
             f"F={self.triangle_count}, chi={self.chi}, genus={self.genus})"
         )
-
-
-def euler_genus(mesh):
-    """Return ``(chi, genus)`` of a validated mesh."""
-    return mesh.chi, mesh.genus
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +476,8 @@ def _barycentric_subdivide(nv, tv, txyz):
 
 def _extract_mesh(nv, tv, txyz):
     mesh = TriangleMesh(nv, tv)
-    he_edge = mesh.edge_index(np.stack([tv, np.roll(tv, -1, axis=1)], axis=2)).reshape(-1)
+    # half-edge k of a triangle joins corners k, k+1: the edge opposite corner k+2
+    he_edge = mesh.triangle_edges[:, [2, 0, 1]].reshape(-1)
     seglen = _hyperbolic_distance(txyz, np.roll(txyz, -1, axis=1)).reshape(-1)
 
     # Glued half-edges live in different charts; the gluing is an isometry,

@@ -47,6 +47,8 @@ from ricciflow.tracking import (
     track_branches,
 )
 
+from meshes import flat_torus_metric
+
 
 def _config_dict(**overrides):
     data = {
@@ -1135,6 +1137,34 @@ def test_cli_missing_off_file(tmp_path, capsys):
     assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "MeshFormatError"
+
+
+def test_cli_rejects_an_area_other_than_minus_two_pi_chi(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict(area="unit"))
+    assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError" and "area" in payload["message"]
+
+
+def test_cli_off_torus_is_a_hypothesis_error(tmp_path, capsys):
+    # chi = 0: the torus has no hyperbolic area -2 pi chi to normalize to
+    n = 8
+    a, b = np.meshgrid(2.0 * np.pi * np.arange(n) / n, 2.0 * np.pi * np.arange(n) / n,
+                       indexing="ij")
+    xyz = np.stack([(3.0 + np.cos(b)) * np.cos(a), (3.0 + np.cos(b)) * np.sin(a), np.sin(b)])
+    faces = flat_torus_metric(n).mesh.triangles
+    off = tmp_path / "torus.off"
+    off.write_text(
+        f"OFF\n{n * n} {len(faces)} 0\n"
+        + "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in xyz.reshape(3, -1).T)
+        + "".join(f"3 {i} {j} {k}\n" for i, j, k in faces)
+    )
+    cfg = tmp_path / "config.json"
+    _write_config(cfg, _config_dict(mesh={"off": str(off)}, flow={"k": 4}))
+    assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "HypothesisError"
 
 
 def test_pde_residual_median_reads_every_sample(monkeypatch):

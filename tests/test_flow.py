@@ -4,6 +4,7 @@ import pytest
 from ricciflow import (
     FlowAbortError,
     FlowConfig,
+    HypothesisError,
     RicciFlowError,
     TriangleInequalityError,
     assemble_operators,
@@ -155,15 +156,10 @@ def test_run_flow_already_converged(octagon0):
     assert again.steps["t"].shape == (1,)
 
 
-def test_run_flow_warn_mode_flat_torus(torus16_metric):
-    config = FlowConfig(spectrum_every=50, k=4, seed=0)
-    with pytest.raises(ValueError):
-        run_flow(torus16_metric, config)
-    with pytest.warns(UserWarning):
-        trace = run_flow(torus16_metric, config, allow_indefinite=True)
-    assert trace.converged
-    assert trace.steps["t"].shape == (1,)
-    assert trace.warnings
+def test_run_flow_rejects_flat_torus(torus16_metric):
+    # genus 1 and R = 0: outside the hyperbolic setting of the comparison theorems
+    with pytest.raises(HypothesisError, match="admissible"):
+        run_flow(torus16_metric, FlowConfig(spectrum_every=50, k=4, seed=0))
 
 
 def test_run_flow_abort_on_dt_underflow(octagon0, monkeypatch):
@@ -312,16 +308,6 @@ def test_pde_residual_small_on_stationary(octagon0):
     fld = trace.samples[1].curvature
     # all three terms are O(max|R - r|) ~ convergence tolerance here
     assert np.abs(res).max() < 50.0 * abs(fld.r) * 1e-4
-
-
-def test_flat_torus_is_exact_fixed_point(torus16_metric):
-    # the 45/45/90 grid angles are dyadic multiples of pi, so defects are
-    # exactly zero and the flow converges on the spot
-    config = FlowConfig(spectrum_every=1, k=4, convergence_tol=1e-300)
-    with pytest.warns(UserWarning):
-        trace = run_flow(torus16_metric, config, allow_indefinite=True)
-    assert trace.converged and len(trace.samples) == 1
-    assert trace.samples[0].curvature.max_deviation() == 0.0
 
 
 def test_pde_residual_zero_on_flat_torus(torus16_metric):

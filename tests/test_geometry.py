@@ -199,7 +199,8 @@ def test_degenerate_triangle_detected(tetra_metric):
     # three faces are valid
     mesh = tetra_metric.mesh
     lengths = np.full(mesh.edge_count, 2.0)
-    lengths[mesh.edge_index([(0, 1), (1, 2)])] = 1.0
+    edge_ids = {tuple(edge): e for e, edge in enumerate(mesh.edges.tolist())}
+    lengths[[edge_ids[(0, 1)], edge_ids[(1, 2)]]] = 1.0
     flat_face = ConformalMetric.flat(mesh, lengths)
     with pytest.raises(TriangleInequalityError):
         mesh.kernel.faces(squared_lengths(flat_face))
