@@ -16,6 +16,7 @@ import os
 
 from . import bounds as bnd
 from .errors import ConfigError
+from .flow import integer_at_least, real_number
 from .reporting import (
     json_object,
     read_report_json,
@@ -72,9 +73,9 @@ def _read_records(path):
                 for i in (1, 2)
             }
             inputs = json_object(stored["inputs"], "inputs")
-            window = (inputs["alpha"], inputs["beta"])
-            pair_inputs = (window, inputs["r"], inputs["delta_hat"], inputs["tol_ratio"])
-            return stored, surfaces, pair_inputs
+            keys = ("alpha", "beta", "r", "delta_hat", "tol_ratio")
+            alpha, beta, r, delta_hat, tol_ratio = (real_number(inputs[key], key) for key in keys)
+            return stored, surfaces, ((alpha, beta), r, delta_hat, tol_ratio)
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot audit {path}: {type(exc).__name__}: {exc}") from exc
     raise ConfigError(f"unknown report kind {kind!r}")
@@ -87,7 +88,8 @@ def _surface_record(path, stored):
     trace = read_trace_csv(os.path.join(path, "trace.csv"))
     steps = {name: trace[name] for name in ("t", "R_min", "R_max", "argmin", "argmax")}
     spectrum = read_spectrum_csv(os.path.join(path, "spectrum.csv"))
-    inputs = {key: stored_inputs[key] for key in bnd.SURFACE_INPUTS}
+    inputs = {key: real_number(stored_inputs[key], key) for key in bnd.SURFACE_INPUTS}
+    integer_at_least(inputs["k"], 2, "k")
     if spectrum["values"].shape[0] != inputs["k"]:
         raise ConfigError(
             f"{path}: spectrum.csv has {spectrum['values'].shape[0]} branches, "

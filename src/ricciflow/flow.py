@@ -223,13 +223,12 @@ def run_flow(metric, config, progress=None, on_sample=None):
     mesh = metric.mesh
     kernel, base_sq = mesh.kernel, metric.base_lengths * metric.base_lengths
     vel, fld = kernel.velocity(base_sq, metric.u)
-    trace = FlowTrace(mesh, metric.base_lengths, config, steps={}, samples=[], converged=False)
-
     if mesh.genus < 2 or fld.R_max >= 0.0:
         raise HypothesisError(
             f"initial state outside the admissible class (genus={mesh.genus}, "
             f"R_max={fld.R_max:.4g})"
         )
+    trace = FlowTrace(mesh, metric.base_lengths, config, steps={}, samples=[], converged=False)
 
     target_area = fld.total_area
     conv_threshold = config.convergence_tol * abs(fld.r)

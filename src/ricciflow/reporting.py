@@ -85,25 +85,29 @@ def _read_csv(path):
     return header, np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
 
 
+def _require_header(path, header, expected):
+    if header != expected:
+        raise ConfigError(f"{path} does not have the columns {','.join(expected)}")
+
+
 def read_trace_csv(path):
     header, data = _read_csv(path)
+    _require_header(path, header, list(TRACE_COLUMNS))
     columns = {name: data[:, j] for j, name in enumerate(header)}
     for name in ("argmin", "argmax"):  # vertex indices
         columns[name] = columns[name].astype(int)
     return columns
 
 
+def _spectrum_header(k):
+    return ["t"] + [f"{group}_{b}" for group in ("branch", "sorted", "flag") for b in range(k)]
+
+
 def write_spectrum_csv(path, branch_set):
     """Branch-ordered and sorted eigenvalues plus crossing flags per time."""
     k = branch_set.k
-    header = (
-        ["t"]
-        + [f"branch_{b}" for b in range(k)]
-        + [f"sorted_{b}" for b in range(k)]
-        + [f"flag_{b}" for b in range(k)]
-    )
     with _replacing(path) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_spectrum_header(k)) + "\n")
         for j, t in enumerate(branch_set.times):
             row = [format_float(t)]
             row += [format_float(branch_set.values[b, j]) for b in range(k)]
@@ -115,6 +119,7 @@ def write_spectrum_csv(path, branch_set):
 def read_spectrum_csv(path):
     header, data = _read_csv(path)
     k = sum(1 for name in header if name.startswith("branch_"))
+    _require_header(path, header, _spectrum_header(k))
     out = {
         "times": data[:, 0],
         "values": data[:, 1 : 1 + k].T,

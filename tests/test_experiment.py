@@ -1232,6 +1232,15 @@ def _drop_columns(path, drop):
             lambda d: _drop_columns(d / "spectrum.csv", lambda name: name.startswith("branch_")),
             id="no_branches",
         ),
+        pytest.param(
+            lambda d: _drop_columns(d / "spectrum.csv", lambda name: name.startswith("sorted_")),
+            id="no_sorted",
+        ),
+        pytest.param(
+            lambda d: _drop_columns(d / "spectrum.csv", lambda name: name.startswith("flag_")),
+            id="no_flags",
+        ),
+        pytest.param(lambda d: _drop_columns(d / "trace.csv", "dt".__eq__), id="no_dt"),
         pytest.param(lambda d: (d / "spectrum.csv").unlink(), id="no_spectrum"),
         pytest.param(lambda d: write_report_json(d / "report.json", []), id="top_level_list"),
         pytest.param(lambda d: _edit_report(d, lambda r: r.update(inputs=None)), id="inputs_null"),
@@ -1242,8 +1251,42 @@ def test_cli_audit_malformed_artifacts(flow_dir, tmp_path, capsys, corrupt):
     shutil.copytree(flow_dir, broken)
     corrupt(broken)
     assert cli_main(["audit", "--dir", str(broken), "--quiet"]) == 2
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["error"] == "ConfigError"
+    [line] = capsys.readouterr().out.strip().splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
+
+
+@pytest.fixture(scope="module")
+def pair_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pair") / "out"
+    pair = [{"amplitude": 0.02, "seed": 5}, {"amplitude": -0.02, "seed": 5}]
+    run_pair_experiment(ExperimentConfig.from_dict(_config_dict(perturbations=pair,
+                                                                output_dir=str(out))))
+    return out
+
+
+@pytest.mark.parametrize("value", [None, "0.5", [1.0]], ids=["null", "string", "list"])
+@pytest.mark.parametrize(
+    "kind, block, key",
+    [
+        ("flow", "inputs", "alpha"),
+        ("flow", "inputs", "mean_edge_length"),
+        ("pair", "inputs", "delta_hat"),
+        ("pair", "surface_2", "beta"),
+    ],
+)
+def test_cli_audit_wrongly_typed_input(request, tmp_path, capsys, kind, block, key, value):
+    broken = tmp_path / "broken"
+    shutil.copytree(request.getfixturevalue(f"{kind}_dir"), broken)
+
+    def edit(report):
+        inputs = report["inputs"] if block == "inputs" else report[block]["inputs"]
+        inputs[key] = value
+
+    _edit_report(broken, edit)
+    assert cli_main(["audit", "--dir", str(broken), "--quiet"]) == 2
+    [line] = capsys.readouterr().out.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "ConfigError" and key in payload["message"]
 
 
 def test_cli_audit_report_that_cannot_be_written_is_a_config_error(flow_dir, tmp_path, capsys):
