@@ -14,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -119,7 +119,7 @@ def _fields(data):
         seed = integer_at_least(entry.get("seed", 0), 0, "perturbation seed")
         specs.append(PerturbationSpec(amplitude, seed))
 
-    flow = json_object(data.get("flow", {}), "flow", FlowConfig.__dataclass_fields__)
+    flow = json_object(data.get("flow", {}), "flow", {f.name for f in fields(FlowConfig)})
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a path string or null, got {output_dir!r}")

@@ -4,11 +4,11 @@ The state is one log-conformal factor per vertex, advanced by classical
 four-stage Runge-Kutta on du/dt = (r - R)/2 and renormalized to the initial
 area after every step (the renormalization is itself a uniform conformal
 scaling, so it stays inside the flow's conformal class). Step control is
-adaptive: one ``min`` of an accuracy-based candidate ``safety / max|R - r|``,
-a 2x growth factor, ``dt_init``, a linear-stability estimate of the stiffest
+adaptive: one ``min`` of an accuracy-based candidate ``SAFETY / max|R - r|``,
+a 2x growth factor, ``DT_INIT``, a linear-stability estimate of the stiffest
 curvature mode and the time left to ``t_max``; steps that break a triangle
 inequality are rejected and retried at half size, and a step size below
-``dt_min`` aborts the run. ``run_flow`` stores full states without spectra
+``DT_MIN`` aborts the run. ``run_flow`` stores full states without spectra
 and hands each one, as it is stored, to ``on_sample``. ``solve_sample``
 solves one stored state, and ``solve_snapshots`` fills in the spectra of a
 trace in time order, from such solves made while the flow ran or by solving
@@ -24,52 +24,46 @@ import numpy as np
 
 from .errors import EigensolverError, FlowAbortError, HypothesisError, TriangleInequalityError
 from .geometry import ConformalMetric, CurvatureField
-from .spectrum import assemble_operators, operator_norm_estimate, smallest_eigenpairs
+from .spectrum import EIG_TOL, assemble_operators, operator_norm_estimate, smallest_eigenpairs
 
 RK4_STABILITY = 2.785  # extent of the classical RK4 stability interval
 CFL_SAFETY = 0.85
 NORM_RECHECK_STEPS = 500  # stiffness estimate refresh cadence
-# Largest t_max / dt_init a config may ask for. No accepted step exceeds
-# dt_init, so a run to t_max takes at least that many steps; the level-3
-# acceptance flow takes about 2e4.
+DT_INIT = 0.01  # first step, and the largest step a run takes
+DT_MIN = 1e-9  # a step size below this aborts the run
+SAFETY = 0.2  # accuracy candidate SAFETY / max|R - r|
+CONVERGENCE_TOL = 1e-4  # converged once max|R - r| <= CONVERGENCE_TOL * |r|
+# Largest t_max / DT_INIT a config may ask for: no accepted step exceeds DT_INIT,
+# so a run takes at least that many steps (the level-3 acceptance flow about 2e4).
+# A step of DT_MIN advances every t_max it admits: np.spacing(1e6) is 1.2e-10.
 STEP_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Knobs of one flow run; every tolerance is strictly positive."""
+    """What a run sets; step control and ``EIG_TOL`` are module constants."""
 
-    dt_init: float = 0.01
-    dt_min: float = 1e-9
-    safety: float = 0.2
-    convergence_tol: float = 1e-4
     t_max: float = 50.0
     spectrum_every: int = 400
     k: int = 12
-    eig_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        positive = ("dt_init", "dt_min", "convergence_tol", "t_max", "eig_tol")
-        for name in positive + ("safety",):
-            real_number(getattr(self, name), name)
-        if self.dt_min > self.dt_init:
-            raise ValueError("dt_min must not exceed dt_init")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError("safety must lie in (0, 1)")
-        for name in positive:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.t_max + self.dt_min == self.t_max:
-            raise ValueError("dt_min cannot advance time at t_max, so a run might not end")
-        if self.t_max / self.dt_init > STEP_BUDGET:
+        if not real_number(self.t_max, "t_max") > 0.0:
+            raise ValueError("t_max must be positive")
+        if self.t_max / DT_INIT > STEP_BUDGET:
             raise ValueError(
-                f"t_max / dt_init = {self.t_max / self.dt_init:.3g} exceeds the step budget "
+                f"t_max / DT_INIT = {self.t_max / DT_INIT:.3g} exceeds the step budget "
                 f"of {STEP_BUDGET:.0e} steps"
             )
         integer_at_least(self.spectrum_every, 1, "spectrum_every")
         integer_at_least(self.k, 1, "k")
         integer_at_least(self.seed, 0, "seed")
+
+    @property
+    def eig_tol(self):
+        """The certified-residual tolerance of every eigensolve, ``EIG_TOL``."""
+        return EIG_TOL
 
 
 def real_number(value, name):
@@ -215,7 +209,7 @@ def run_flow(metric, config, progress=None, on_sample=None):
         If the initial state has genus < 2 or a vertex with ``R >= 0``.
     FlowAbortError
         If the step size, before the clip to ``t_max``, falls below
-        ``dt_min`` (the partial trace, its last accepted step sampled, is
+        ``DT_MIN`` (the partial trace, its last accepted step sampled, is
         attached as ``exc.trace``).
     TriangleInequalityError
         If the initial state has a broken face or a non-finite value.
@@ -231,7 +225,7 @@ def run_flow(metric, config, progress=None, on_sample=None):
     trace = FlowTrace(mesh, metric.base_lengths, config, steps={}, samples=[], converged=False)
 
     target_area = fld.total_area
-    conv_threshold = config.convergence_tol * abs(fld.r)
+    conv_threshold = CONVERGENCE_TOL * abs(fld.r)
 
     def record(t, dt, f):
         row = dict(
@@ -260,15 +254,15 @@ def run_flow(metric, config, progress=None, on_sample=None):
 
     converged = fld.max_deviation() <= conv_threshold
     cap = _stability_cap(metric.with_u(u), config.seed)
-    dt = config.dt_init  # the first step has no growth term
+    dt = DT_INIT  # the first step has no growth term
     accepted = 0
     since_cap = 0
 
     while not converged and t < config.t_max:
         # the one step-size rule; dt has doubled after an accepted step and
         # halved after a rejection, which leaves it below every other term
-        dt = min(dt, config.dt_init, config.safety / max(fld.max_deviation(), 1e-300), cap)
-        if dt < config.dt_min:
+        dt = min(dt, DT_INIT, SAFETY / max(fld.max_deviation(), 1e-300), cap)
+        if dt < DT_MIN:
             exc = FlowAbortError(f"step size underflow at t={t:.6g}", t=t, dt=dt)
             exc.trace = finish()
             raise exc
@@ -337,8 +331,7 @@ def solve_sample(mesh, base_lengths, config, t, u):
     its solve raised, which ``solve_snapshots`` alone turns into an outcome."""
     try:
         stiffness, mass = assemble_operators(ConformalMetric(mesh, base_lengths, u))
-        return smallest_eigenpairs(stiffness, mass, config.k, tol=config.eig_tol,
-                                   seed=config.seed, t=t)
+        return smallest_eigenpairs(stiffness, mass, config.k, tol=EIG_TOL, seed=config.seed, t=t)
     except Exception as exc:
         return exc
 

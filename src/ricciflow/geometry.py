@@ -296,11 +296,11 @@ def perturb_metric(metric, amplitude, mode_seed):
     if amplitude == 0.0:
         return metric, curvature_window(base_field)
 
-    from .spectrum import assemble_operators, smallest_eigenpairs
+    from .spectrum import EIG_TOL, assemble_operators, smallest_eigenpairs
 
     n_modes = min(8, metric.mesh.vertex_count // 2 - 1)
     stiffness, mass = assemble_operators(metric)
-    snap = smallest_eigenpairs(stiffness, mass, n_modes, tol=1e-8, seed=mode_seed)
+    snap = smallest_eigenpairs(stiffness, mass, n_modes, tol=EIG_TOL, seed=mode_seed)
     rng = np.random.default_rng(mode_seed)
     coeffs = rng.standard_normal(n_modes - 1)
     shape = snap.eigenvectors[:, 1:] @ coeffs

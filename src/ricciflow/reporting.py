@@ -1,11 +1,12 @@
 """Serialization of traces, spectra, and bound reports.
 
 Time series go to CSV (one row per accepted step), reports to JSON with
-nested verdicts, plot data to plain two-column text. All floating-point
-values are printed with 17 significant digits, which round-trips 64-bit
-floats exactly, and the JSON writer is canonical (sorted keys, fixed
-indentation) so identical runs produce byte-identical files; the one
-timestamp lives on its own line and is easy to exclude from comparisons.
+nested verdicts. No run writes plot data: ``write_plot_series`` (two-column
+text) is kept only because ``perfbench/tracer.py`` patches it. All
+floating-point values are printed with 17 significant digits, which
+round-trips 64-bit floats exactly, and the JSON writer is canonical (sorted
+keys, fixed indentation) so identical runs produce byte-identical files; the
+one timestamp lives on its own line and is easy to exclude from comparisons.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def write_trace_csv(path, trace):
 
 
 def _read_csv(path):
-    """Header and float rows of a CSV artifact; ConfigError if truncated or malformed.
+    """Header and float rows of a CSV artifact; ConfigError if truncated,
+    malformed or holding a NaN or infinite cell, which no run writes.
 
     Each line is parsed into floats as it is read, into one flat buffer.
     """
@@ -82,7 +84,10 @@ def _read_csv(path):
                 raise ConfigError(f"malformed {path}: {exc}") from exc
     if not values:
         raise ConfigError(f"{path} is truncated: no data rows")
-    return header, np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
+    data = np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
+    if not np.isfinite(data).all():
+        raise ConfigError(f"malformed {path}: a cell is NaN or infinite")
+    return header, data
 
 
 def _require_header(path, header, expected):

@@ -30,6 +30,7 @@ SUPERNODE_RELAX = 1
 # level 2 2.24 / 2.97 / 2.46 ms, level 3 13.6 / 17.4 / 14.9 ms, level 4
 # 71 / 92 / 75 ms. Solve times do not depend on it.
 PANEL_SIZE = 4
+EIG_TOL = 1e-8  # largest certified residual a flow's or a perturbation's eigensolve accepts
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,9 @@ def rayleigh_quotient(f, metric):
     """Dirichlet energy over mass norm, ``(f'Lf) / (f'Mf)``."""
     stiffness, mass = assemble_operators(metric)
     f = np.asarray(f, dtype=float)
-    denom = mass * f @ f
-    if denom == 0.0:
+    if mass * f @ f == 0.0:
         raise ZeroDivisionError("rayleigh_quotient of a zero function")
-    return float(f @ (stiffness @ f) / denom)
+    return _rayleigh(stiffness, mass, f)
 
 
 def operator_norm_estimate(stiffness, mass, seed=0):

@@ -70,6 +70,9 @@ def test_config_rejects_unknown_keys():
         _config_dict(emit={"pdf": True}),
         _config_dict(checks={"c_disk": 1.0}),
         _config_dict(checks={"c_disc": 10.0, "tol_ratio": 0.02}),  # the tolerances are constants
+        # step control and the eigensolver tolerance are constants too
+        *(_config_dict(flow={name: 0.5})
+          for name in ("dt_init", "dt_min", "safety", "convergence_tol", "eig_tol")),
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(broken)
@@ -79,9 +82,9 @@ def test_config_rejects_unknown_keys():
     "overrides",
     [
         {"perturbations": [{"amplitude": float("nan"), "seed": 1}]},
-        {"flow": {"dt_init": float("nan")}},
+        {"flow": {"t_max": float("inf")}},
         {"flow": {"t_max": float("nan")}},
-        {"flow": {"eig_tol": float("inf")}},
+        {"perturbations": [{"amplitude": float("inf"), "seed": 1}]},
     ],
 )
 def test_config_rejects_non_finite_values(overrides):
@@ -174,7 +177,7 @@ def test_pair_experiment_opposite_perturbations():
     artifacts = run_pair_experiment(config)
     assert artifacts.report_dict["all_satisfied"]
     # same conformal class and area: the two limits coincide up to solver slack
-    conv = config.flow.convergence_tol
+    conv = flow_module.CONVERGENCE_TOL
     u1 = artifacts.surfaces[0][2].samples[-1].u
     u2 = artifacts.surfaces[1][2].samples[-1].u
     assert np.abs(u1 - u2).max() <= 10.0 * conv
@@ -260,6 +263,8 @@ from ricciflow import EigensolverError, FlowAbortError, TriangleInequalityError,
 
 kind, case = sys.argv[1], sys.argv[2]
 config = experiment.ExperimentConfig.from_dict(json.loads(sys.argv[3]))
+for name, value in json.loads(sys.argv[4]).items():  # flow constants; the fork inherits them
+    setattr(flow, name, value)
 real = flow.smallest_eigenpairs
 
 def solver(stiffness, mass, k, tol, seed, t=0.0):
@@ -289,7 +294,7 @@ print(json.dumps([outcome, len(multiprocessing.active_children()), threading.act
     "case, flow, outcome",
     [
         ("normal", {}, "ok"),
-        ("abort", {"safety": 1e-12}, "FlowAbortError: step size underflow"),
+        ("abort", {"SAFETY": 1e-12}, "FlowAbortError: step size underflow"),
         ("first", {}, "EigensolverError: no spectrum at t=0,"),
         ("last", {}, "EigensolverError: no spectrum at t="),
         ("dead", {}, "FlowAbortError: a flow worker process ended abruptly"),
@@ -300,9 +305,9 @@ def test_spectrum_worker_leaves_no_process(case, flow, outcome, kind):
     # on every way out of an experiment its flow processes are joined, no
     # thread is left beside the main one, and the interpreter exits at once;
     # a solve's error other than an EigensolverError reaches the caller as
-    # it was raised
-    data = _kind_config(kind, flow={"spectrum_every": 30, "k": 8, "seed": 3, **flow})
-    done = _run_python(_WORKER_LIFECYCLE, kind, case, json.dumps(data))
+    # it was raised. ``flow`` names the ``ricciflow.flow`` constants to patch
+    data = _kind_config(kind, flow={"spectrum_every": 30, "k": 8, "seed": 3})
+    done = _run_python(_WORKER_LIFECYCLE, kind, case, json.dumps(data), json.dumps(flow))
     assert done.returncode == 0, done.stderr
     found, children, threads = json.loads(done.stdout)
     assert found.startswith(outcome), found
@@ -673,13 +678,15 @@ def test_cli_pair_and_audit(tmp_path):
     assert audit["checks"][-1]["name"] == "consistency_chain"
 
 
-def test_flow_experiment_converged_at_start(tmp_path):
+def test_flow_experiment_converged_at_start(tmp_path, monkeypatch):
     # an unperturbed generated surface is near-hyperbolic; with a loose
     # convergence tolerance it converges on the spot and still produces a
-    # complete, all-green artifact set
+    # complete, all-green artifact set. The forked flow process inherits
+    # the patched constant
+    monkeypatch.setattr(flow_module, "CONVERGENCE_TOL", 0.2)
     data = _config_dict(
         perturbations=[{"amplitude": 0.0, "seed": 0}],
-        flow={"spectrum_every": 30, "k": 8, "seed": 3, "convergence_tol": 0.2},
+        flow={"spectrum_every": 30, "k": 8, "seed": 3},
         output_dir=str(tmp_path / "idle"),
     )
     artifacts = run_flow_experiment(ExperimentConfig.from_dict(data))
@@ -693,14 +700,15 @@ def test_flow_experiment_converged_at_start(tmp_path):
     assert audit["checks"] == artifacts.report_dict["checks"]
 
 
-def test_flow_experiment_converged_at_start_level1(tmp_path):
+def test_flow_experiment_converged_at_start_level1(tmp_path, monkeypatch):
     # a perturbed level-1 surface within the loose tolerance at t = 0: the
     # lone snapshot is tracked like any other, and the checks that need only
     # one sample run on it
+    monkeypatch.setattr(flow_module, "CONVERGENCE_TOL", 1.0)
     out = tmp_path / "idle1"
     data = _config_dict(
         mesh={"generator": "genus2", "level": 1},
-        flow={"k": 12, "convergence_tol": 1.0},
+        flow={"k": 12},
         output_dir=str(out),
     )
     artifacts = run_flow_experiment(ExperimentConfig.from_dict(data))
@@ -894,6 +902,7 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
         pytest.param(_config_dict(perturbations=[{"seed": "abc"}]), [], id="pert_seed_str"),
         pytest.param(_config_dict(perturbations=[{"seed": -3}]), [], id="pert_seed_negative"),
         pytest.param(_config_dict(flow={"k": "12"}), [], id="k_str"),
+        # dt_init is a constant: the key itself is refused, whatever its value
         pytest.param(_config_dict(flow={"dt_init": "0.01"}), [], id="dt_init_str"),
         pytest.param(_config_dict(flow={"seed": -1}), [], id="flow_seed_negative"),
         pytest.param(_config_dict(flow={"k": 3.5}), [], id="k_float"),
@@ -927,39 +936,35 @@ def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):
             assert removed in payload["message"]
 
 
-def test_cli_flow_aborts_when_step_size_below_dt_min(tmp_path, capsys):
-    # at this safety the accuracy term is ~1e-12 < dt_min: the flow aborts
+def test_cli_flow_aborts_when_step_size_below_dt_min(tmp_path, capsys, monkeypatch):
+    # at this SAFETY the accuracy term is ~1e-12 < DT_MIN: the flow aborts
     # at once instead of running ~1e12 steps
+    monkeypatch.setattr(flow_module, "SAFETY", 1e-12)
     cfg = tmp_path / "config.json"
-    _write_config(cfg, _config_dict(flow={"spectrum_every": 30, "k": 8, "safety": 1e-12}))
+    _write_config(cfg, _config_dict(flow={"spectrum_every": 30, "k": 8}))
     assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "FlowAbortError"
 
 
-def test_cli_flow_rejects_dt_min_that_cannot_advance_time(tmp_path):
-    # t_max + dt_min == t_max: steps of dt_min could not move time forward
-    # near t_max, and the run would take about t_max/dt_init steps; the config
-    # is refused instead. The subprocess's timeout fails a regression rather
-    # than hanging the suite
+@pytest.mark.parametrize("key", ["dt_init", "dt_min", "safety", "convergence_tol", "eig_tol"])
+def test_cli_flow_rejects_step_control_keys(tmp_path, capsys, key):
+    # step control and the eigensolver tolerance are constants of the flow
+    # and spectrum modules: a config that sets one is a ConfigError naming it
     cfg = tmp_path / "config.json"
-    flow = {"spectrum_every": 30, "k": 8, "seed": 3, "dt_init": 1e-300, "dt_min": 1e-301}
-    _write_config(cfg, _config_dict(flow=flow))
-    code = "import sys; from ricciflow.cli import main; sys.exit(main())"
-    done = _run_python(code, "flow", "--config", cfg, "--out", tmp_path / "out", "--quiet",
-                       timeout=60)
-    assert done.returncode == 2, done.stderr
-    lines = done.stdout.strip().splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
-    assert "Traceback" not in done.stderr
+    _write_config(cfg, _config_dict(flow={"spectrum_every": 30, "k": 8, key: 0.5}))
+    assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
+    [line] = capsys.readouterr().out.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "ConfigError" and key in payload["message"]
 
 
 def test_cli_flow_rejects_a_step_count_above_the_budget(tmp_path):
-    # no accepted step exceeds dt_init, so this run would take t_max / dt_init
-    # = 5e13 steps; the config is refused instead. The subprocess's timeout
+    # no accepted step exceeds DT_INIT, so this run would take t_max / DT_INIT
+    # = 1e11 steps; the config is refused instead. The subprocess's timeout
     # fails a regression rather than hanging the suite
     cfg = tmp_path / "config.json"
-    flow = {"spectrum_every": 30, "k": 8, "seed": 3, "dt_init": 1e-12, "dt_min": 1e-13}
+    flow = {"spectrum_every": 30, "k": 8, "seed": 3, "t_max": 1e9}
     _write_config(cfg, _config_dict(flow=flow))
     code = "import sys; from ricciflow.cli import main; sys.exit(main())"
     done = _run_python(code, "flow", "--config", cfg, "--out", tmp_path / "out", "--quiet",
@@ -991,12 +996,14 @@ def test_flow_process_ends_when_its_parent_is_killed(tmp_path):
     # a killed CLI runs no `finally` that could stop its flow process; that
     # process must end by itself at its next send instead of running on, or
     # blocking for good on a pipe that nobody reads. The CLI runs in a session
-    # of its own, which the test kills whole on every way out
+    # of its own, which the test kills whole on every way out; a convergence
+    # tolerance it cannot meet keeps its flow running until then
     cfg = tmp_path / "config.json"
-    flow = {"spectrum_every": 20, "k": 8, "seed": 3, "t_max": 20.0, "convergence_tol": 1e-12}
+    flow = {"spectrum_every": 20, "k": 8, "seed": 3, "t_max": 20.0}
     _write_config(cfg, _config_dict(mesh={"generator": "genus2", "level": 2}, flow=flow))
     src = os.path.dirname(os.path.dirname(os.path.abspath(flow_module.__file__)))
-    code = "import sys; from ricciflow.cli import main; sys.exit(main())"
+    code = ("import sys, ricciflow.flow; ricciflow.flow.CONVERGENCE_TOL = 1e-12; "
+            "from ricciflow.cli import main; sys.exit(main())")
     cli = subprocess.Popen(
         [sys.executable, "-c", code, "flow", "--config", str(cfg)],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
@@ -1020,7 +1027,7 @@ def test_flow_process_ends_when_its_parent_is_killed(tmp_path):
         cli.stdout.close()
 
 
-_FLOW_KEYS = sorted(flow_module.FlowConfig.__dataclass_fields__)
+_FLOW_KEYS = sorted(f.name for f in fields(flow_module.FlowConfig))
 _MUTANTS = ["0.5", None, [0.5], {}, True, 0, 0.0, -1, -0.5,
             float("nan"), float("inf"), float("-inf"), 1e308, 1e-300]
 
@@ -1218,6 +1225,13 @@ def _drop_columns(path, drop):
     path.write_text("".join(",".join(row[j] for j in keep) + "\n" for row in rows))
 
 
+def _set_cell(path, column, text):
+    """Set ``column`` of the first data row of CSV ``path`` to ``text``."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[1][rows[0].index(column)] = text
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -1244,6 +1258,10 @@ def _drop_columns(path, drop):
         pytest.param(lambda d: (d / "spectrum.csv").unlink(), id="no_spectrum"),
         pytest.param(lambda d: write_report_json(d / "report.json", []), id="top_level_list"),
         pytest.param(lambda d: _edit_report(d, lambda r: r.update(inputs=None)), id="inputs_null"),
+        # a run writes only finite numbers; a NaN or infinite cell is refused
+        # before any check margin could become non-finite
+        pytest.param(lambda d: _set_cell(d / "trace.csv", "R_max", "nan"), id="nan_trace"),
+        pytest.param(lambda d: _set_cell(d / "spectrum.csv", "sorted_1", "inf"), id="inf_spectrum"),
     ],
 )
 def test_cli_audit_malformed_artifacts(flow_dir, tmp_path, capsys, corrupt):

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import ricciflow.flow as flow_mod
 from ricciflow import (
     FlowAbortError,
     FlowConfig,
@@ -20,6 +23,7 @@ from ricciflow import (
     solve_snapshots,
     step,
 )
+from ricciflow.spectrum import EIG_TOL
 
 
 def test_velocity_zero_at_constant_curvature(tetra_metric, torus16_metric):
@@ -133,7 +137,7 @@ def test_run_flow_converges_level0(octagon0):
     assert trace.converged
     r = trace.r
     final = trace.samples[-1].curvature
-    assert final.max_deviation() <= config.convergence_tol * abs(r)
+    assert final.max_deviation() <= flow_mod.CONVERGENCE_TOL * abs(r)
     assert abs(final.R_min - r) < 1e-3 * abs(r)
     assert abs(final.R_max - r) < 1e-3 * abs(r)
     area = trace.steps["area"]
@@ -165,45 +169,39 @@ def test_run_flow_rejects_flat_torus(torus16_metric):
 def test_run_flow_abort_on_dt_underflow(octagon0, monkeypatch):
     # near the limit the accuracy term admits the oversized first step; with
     # the stability cap disabled that step is rejected, and its half leaves
-    # no room above dt_min
-    import ricciflow.flow as flow_mod
-
+    # no room above DT_MIN
     metric, _ = perturb_metric(octagon0, 0.02, 13)
     start = run_flow(metric, FlowConfig(spectrum_every=100, k=6, seed=1)).limit
     monkeypatch.setattr(flow_mod, "_stability_cap", lambda metric, seed: np.inf)
-    config = FlowConfig(
-        dt_init=64.0, dt_min=60.0, safety=0.99, convergence_tol=1e-6, t_max=100.0,
-        spectrum_every=10, k=4,
-    )
+    for name, value in (("DT_INIT", 64.0), ("DT_MIN", 60.0), ("SAFETY", 0.99),
+                        ("CONVERGENCE_TOL", 1e-6)):
+        monkeypatch.setattr(flow_mod, name, value)
     with pytest.raises(FlowAbortError) as info:
-        run_flow(start, config)
+        run_flow(start, FlowConfig(t_max=100.0, spectrum_every=10, k=4))
     assert (info.value.t, info.value.dt) == (0.0, 32.0)
     assert info.value.trace is not None
     assert info.value.trace.converged is False
 
 
 def test_run_flow_abort_when_step_size_below_dt_min(octagon0, monkeypatch):
-    # dt_min bounds every step, not only rejected ones: at this safety the
+    # DT_MIN bounds every step, not only rejected ones: at this SAFETY the
     # accuracy term is ~1e-12, and the flow would need ~1e12 steps. The
     # aborted trace keeps its samples, the last accepted step included, and
     # the abort path solves no eigenproblem.
-    import ricciflow.flow as flow_mod
-
     def no_solve(*args, **kwargs):
         raise AssertionError("the abort path must not solve an eigenproblem")
 
     metric, _ = perturb_metric(octagon0, 0.02, 13)
     monkeypatch.setattr(flow_mod, "smallest_eigenpairs", no_solve)
+    monkeypatch.setattr(flow_mod, "SAFETY", 1e-12)
     with pytest.raises(FlowAbortError) as info:
-        run_flow(metric, FlowConfig(safety=1e-12, spectrum_every=10, k=4))
+        run_flow(metric, FlowConfig(spectrum_every=10, k=4))
     assert info.value.t == 0.0 and info.value.dt < 1e-9
     assert [s.step for s in info.value.trace.samples] == [0]
     assert info.value.trace.samples[0].spectrum is None
 
 
 def test_run_flow_solves_no_eigenproblem(octagon0, monkeypatch):
-    import ricciflow.flow as flow_mod
-
     def no_solve(*args, **kwargs):
         raise AssertionError("run_flow must not solve an eigenproblem")
 
@@ -222,18 +220,18 @@ def test_run_flow_solves_no_eigenproblem(octagon0, monkeypatch):
 def test_run_flow_step_size_rule(octagon0, monkeypatch):
     # a constant stability cap that binds on most steps of a level-0 run with
     # no rejections: the accuracy candidate binds before it, t_max after it
-    import ricciflow.flow as flow_mod
-
     cap = 0.08
     monkeypatch.setattr(flow_mod, "_stability_cap", lambda metric, seed: cap)
+    monkeypatch.setattr(flow_mod, "DT_INIT", 1.0)
+    monkeypatch.setattr(flow_mod, "SAFETY", 0.01)
     metric, _ = perturb_metric(octagon0, 0.02, 13)
-    config = FlowConfig(dt_init=1.0, safety=0.01, t_max=1.0, spectrum_every=100, k=6, seed=1)
+    config = FlowConfig(t_max=1.0, spectrum_every=100, k=6, seed=1)
     steps = run_flow(metric, config).steps
     dt, t, max_dev = steps["dt"], steps["t"], steps["max_dev"]
     for i in range(1, len(dt)):
         growth = 2.0 * dt[i - 1] if i > 1 else np.inf  # the first step has no growth term
-        accuracy = config.safety / max(max_dev[i - 1], 1e-300)
-        assert dt[i] == min(growth, config.dt_init, accuracy, cap, config.t_max - t[i - 1]), i
+        accuracy = flow_mod.SAFETY / max(max_dev[i - 1], 1e-300)
+        assert dt[i] == min(growth, flow_mod.DT_INIT, accuracy, cap, config.t_max - t[i - 1]), i
     assert 0 < np.count_nonzero(dt == cap) < len(dt) - 1
 
 
@@ -244,20 +242,15 @@ def test_run_flow_rejects_non_finite_state(octagon0):
         run_flow(octagon0.with_u(u), FlowConfig(spectrum_every=10, k=4))
 
 
-def test_integrator_consistency_across_dt(octagon0):
+def test_integrator_consistency_across_dt(octagon0, monkeypatch):
     metric = _rough_state(octagon0)
     t_end = 8e-3
+    monkeypatch.setattr(flow_mod, "SAFETY", 0.9)
+    monkeypatch.setattr(flow_mod, "CONVERGENCE_TOL", 1e-300)
 
     def u_at(dt_init):
-        config = FlowConfig(
-            dt_init=dt_init,
-            safety=0.9,
-            convergence_tol=1e-300,
-            t_max=t_end,
-            spectrum_every=10**6,
-            k=4,
-        )
-        trace = run_flow(metric, config)
+        monkeypatch.setattr(flow_mod, "DT_INIT", dt_init)
+        trace = run_flow(metric, FlowConfig(t_max=t_end, spectrum_every=10**6, k=4))
         assert abs(trace.steps["t"][-1] - t_end) < 1e-12
         return trace.samples[-1].u
 
@@ -294,15 +287,13 @@ def test_time_map_rejects_bad_inputs():
         rf_nrf_time_map(-1.0, -2, 0.1)
 
 
-def test_pde_residual_small_on_stationary(octagon0):
+def test_pde_residual_small_on_stationary(octagon0, monkeypatch):
     metric, _ = perturb_metric(octagon0, 0.02, 13)
     config = FlowConfig(spectrum_every=40, k=4, seed=1)
     limit = run_flow(metric, config).limit
     # restart at the fixed point; disable convergence so steps are forced
-    config2 = FlowConfig(
-        spectrum_every=1, k=4, seed=1, convergence_tol=1e-300, t_max=1.5e-2
-    )
-    trace = run_flow(limit, config2)
+    monkeypatch.setattr(flow_mod, "CONVERGENCE_TOL", 1e-300)
+    trace = run_flow(limit, FlowConfig(spectrum_every=1, k=4, seed=1, t_max=1.5e-2))
     assert len(trace.samples) >= 3
     res = curvature_pde_residual(trace, 1)
     fld = trace.samples[1].curvature
@@ -353,22 +344,23 @@ def test_monotonicity_reporting_on_fabricated_series(run1):
 
 def test_flow_config_validation():
     with pytest.raises(ValueError):
-        FlowConfig(dt_min=1.0, dt_init=0.1)
-    with pytest.raises(ValueError):
-        FlowConfig(safety=1.5)
-    with pytest.raises(ValueError):
-        FlowConfig(convergence_tol=0.0)
-    with pytest.raises(ValueError):
         FlowConfig(spectrum_every=0)
     with pytest.raises(ValueError):
         FlowConfig(t_max=float("nan"))
-    # a step of dt_min would not advance time at t_max, so a run might never end
-    with pytest.raises(ValueError, match="cannot advance"):
-        FlowConfig(dt_init=1e-300, dt_min=1e-301)
-    with pytest.raises(ValueError, match="cannot advance"):
-        FlowConfig(t_max=1e10, dt_min=1e-9)
-    FlowConfig(t_max=1e6, dt_min=1e-9)
+    with pytest.raises(ValueError, match="positive"):
+        FlowConfig(t_max=0.0)
+    # t_max / DT_INIT steps at least; the largest t_max the budget admits is
+    # still advanced by a step of DT_MIN, so every admitted run can end
+    with pytest.raises(ValueError, match="step budget"):
+        FlowConfig(t_max=1e10)
+    FlowConfig(t_max=1e6)
+    assert 1e6 + flow_mod.DT_MIN > 1e6
     # json.load reads Infinity; a run with t_max = inf that cannot converge never ends
-    for name in ("t_max", "dt_init", "convergence_tol", "eig_tol"):
-        with pytest.raises(ValueError, match="finite"):
-            FlowConfig(**{name: float("inf")})
+    with pytest.raises(ValueError, match="finite"):
+        FlowConfig(t_max=float("inf"))
+    # step control and the eigensolver tolerance are constants, not fields
+    assert [f.name for f in fields(FlowConfig)] == ["t_max", "spectrum_every", "k", "seed"]
+    assert FlowConfig().eig_tol == EIG_TOL == 1e-8
+    for name in ("dt_init", "dt_min", "safety", "convergence_tol", "eig_tol"):
+        with pytest.raises(TypeError):
+            FlowConfig(**{name: 0.5})
