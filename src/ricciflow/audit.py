@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from . import bounds as bnd
 from .errors import ConfigError
 from .flow import integer_at_least, real_number
@@ -90,9 +92,20 @@ def _surface_record(path, stored):
     spectrum = read_spectrum_csv(os.path.join(path, "spectrum.csv"))
     inputs = {key: real_number(stored_inputs[key], key) for key in bnd.SURFACE_INPUTS}
     integer_at_least(inputs["k"], 2, "k")
+    vertices = integer_at_least(stored_inputs["vertices"], 1, "vertices")
     if spectrum["values"].shape[0] != inputs["k"]:
         raise ConfigError(
             f"{path}: spectrum.csv has {spectrum['values'].shape[0]} branches, "
             f"the report says k = {inputs['k']}"
         )
+    # a run writes none of what follows, and each would reach a check as a
+    # zero time step, a vertex the mesh lacks or a ratio of non-positive values
+    for name, times in (("trace.csv", steps["t"]), ("spectrum.csv", spectrum["times"])):
+        if not np.all(np.diff(times) > 0.0):
+            raise ConfigError(f"{path}: the times of {name} are not strictly increasing")
+    for name in ("argmin", "argmax"):
+        if steps[name].max() >= vertices:
+            raise ConfigError(f"{path}: trace.csv {name} names a vertex >= {vertices}")
+    if np.min(bnd.travel(spectrum["sorted_values"])) <= 0.0:
+        raise ConfigError(f"{path}: spectrum.csv has a non-positive nonzero-mode eigenvalue")
     return steps, spectrum, inputs

@@ -61,12 +61,6 @@ class BoundReport:
     def all_satisfied(self):
         return all(c.satisfied for c in self.checks)
 
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _mk_check(name, margins, witnesses, tol):
     """The check at the worst margin; ``tol`` is one tolerance or one per margin."""
@@ -290,7 +284,7 @@ def checked_branches(k):
     return list(range(1, min(6, k)))
 
 
-def _travel(sorted_values):
+def travel(sorted_values):
     """The first ``min(10, k - 1)`` nonzero eigenvalues at the first and the last snapshot."""
     n = min(10, sorted_values.shape[0] - 1)
     return sorted_values[1 : 1 + n, 0], sorted_values[1 : 1 + n, -1]
@@ -344,7 +338,7 @@ def surface_checks(steps, spectrum, inputs, warnings=None):
             "log_derivative_corridor skipped: no stencil of the checked branches is unflagged"
         )
     ratio, bracket = ratio_bound_check(
-        *_travel(spectrum["sorted_values"]), alpha, beta, r, tol_ratio
+        *travel(spectrum["sorted_values"]), alpha, beta, r, tol_ratio
     )
     checks.append(ratio)
     return checks, bracket
@@ -358,8 +352,8 @@ def pair_checks(sorted1, sorted2, window, r, delta_hat, tol_ratio):
     the main theorem's factor.
     """
     alpha, beta = window
-    s1_start, s1_end = _travel(sorted1)
-    s2_start, s2_end = _travel(sorted2)
+    s1_start, s1_end = travel(sorted1)
+    s2_start, s2_end = travel(sorted2)
     buser = buser_comparison_check(s1_end, s2_end, delta_hat, tol_ratio)
     mt, factor = main_theorem_check(s1_start, s2_start, alpha, beta, r, delta_hat, tol_ratio)
     chain = _consistency_chain(s1_start, s1_end, s2_start, s2_end, alpha, beta, r, delta_hat)

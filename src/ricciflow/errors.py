@@ -52,10 +52,6 @@ class PerturbationError(GeometryError):
     """A metric perturbation left the admissible curvature class."""
 
 
-class BranchCrossingError(RicciFlowError):
-    """A derivative stencil touches a flagged eigenvalue crossing."""
-
-
 class EigensolverError(RicciFlowError):
     """Iterative eigensolver failed to reach the requested residual."""
 

@@ -11,8 +11,7 @@ inequality are rejected and retried at half size, and a step size below
 ``DT_MIN`` aborts the run. ``run_flow`` stores full states without spectra
 and hands each one, as it is stored, to ``on_sample``. ``solve_sample``
 solves one stored state, and ``solve_snapshots`` fills in the spectra of a
-trace in time order, from such solves made while the flow ran or by solving
-every sample itself.
+trace in time order from such solves, made while the flow ran.
 """
 
 from __future__ import annotations
@@ -136,14 +135,6 @@ class FlowTrace:
         return [s for s in self.samples if s.spectrum is not None]
 
 
-def nrf_velocity(metric):
-    """du/dt = (r - R)/2 per vertex (d/dt g = (r - R) g with g = e^{2u} g0), with
-    the area-preserving normalization constant of :meth:`MeshKernel.velocity`."""
-    base = metric.base_lengths
-    velocity, _ = metric.mesh.kernel.velocity(base * base, metric.u)
-    return velocity
-
-
 def _rk4(kernel, base_sq, u, v1, dt, target_area):
     """One RK4 step plus exact area renormalization.
 
@@ -160,20 +151,6 @@ def _rk4(kernel, base_sq, u, v1, dt, target_area):
     # uniform scaling leaves angles (hence R*area-type products) intact, so
     # the velocity of the renormalized state is the raw one rescaled
     return u_next, kernel.rescaled(f_raw, c, target_area), v_raw / c
-
-
-def step(metric, dt):
-    """One explicit RK4 step of size ``dt``, area-renormalized.
-
-    Raises :class:`TriangleInequalityError` when the step is too large; the
-    caller is expected to halve ``dt`` and retry.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    kernel, base_sq = metric.mesh.kernel, metric.base_lengths * metric.base_lengths
-    v1, fld = kernel.velocity(base_sq, metric.u)
-    u_next, _, _ = _rk4(kernel, base_sq, metric.u, v1, dt, fld.total_area)
-    return metric.with_u(u_next)
 
 
 def _stability_cap(metric_like, seed):
@@ -295,13 +272,12 @@ def run_flow(metric, config, progress=None, on_sample=None):
     return finish()
 
 
-def solve_snapshots(trace, outcomes=None):
+def solve_snapshots(trace, outcomes):
     """Fill in the spectrum of every stored sample of ``trace``, in time order.
 
     ``outcomes`` holds one ``solve_sample`` result per sample of ``trace``, in
     time order, as a caller solved the samples while the flow ran (from
-    ``run_flow``'s ``on_sample``). Without ``outcomes``, every sample is
-    solved here.
+    ``run_flow``'s ``on_sample``).
 
     This is the one place that decides what a failed eigensolve means. At an
     interior sample it records a warning and leaves the spectrum None. The
@@ -310,9 +286,6 @@ def solve_snapshots(trace, outcomes=None):
     may stand in for, so a failure there raises :class:`EigensolverError`.
     Any other exception a solve raised is raised again here.
     """
-    if outcomes is None:
-        inputs = trace.mesh, trace.base_lengths, trace.config
-        outcomes = [solve_sample(*inputs, s.t, s.u) for s in trace.samples]
     last = len(trace.samples) - 1
     for i, (s, outcome) in enumerate(zip(trace.samples, outcomes, strict=True)):
         if isinstance(outcome, EigensolverError):

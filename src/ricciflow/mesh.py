@@ -161,12 +161,6 @@ class TriangleMesh:
     def triangle_count(self):
         return self.triangles.shape[0]
 
-    def __repr__(self):
-        return (
-            f"TriangleMesh(V={self.vertex_count}, E={self.edge_count}, "
-            f"F={self.triangle_count}, chi={self.chi}, genus={self.genus})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # OFF ingestion

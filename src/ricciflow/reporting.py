@@ -99,8 +99,11 @@ def read_trace_csv(path):
     header, data = _read_csv(path)
     _require_header(path, header, list(TRACE_COLUMNS))
     columns = {name: data[:, j] for j, name in enumerate(header)}
-    for name in ("argmin", "argmax"):  # vertex indices
-        columns[name] = columns[name].astype(int)
+    for name in ("argmin", "argmax"):  # vertex indices, exact in a float below 2**53
+        column = columns[name]
+        if not (np.all((0.0 <= column) & (column < 2.0**53)) and np.all(column % 1.0 == 0.0)):
+            raise ConfigError(f"{path}: a {name} cell is not a vertex index")
+        columns[name] = column.astype(int)
     return columns
 
 
@@ -125,6 +128,8 @@ def read_spectrum_csv(path):
     header, data = _read_csv(path)
     k = sum(1 for name in header if name.startswith("branch_"))
     _require_header(path, header, _spectrum_header(k))
+    if not np.isin(data[:, 1 + 2 * k :], (0.0, 1.0)).all():
+        raise ConfigError(f"{path}: a flag cell is neither 0 nor 1")
     out = {
         "times": data[:, 0],
         "values": data[:, 1 : 1 + k].T,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import EigensolverError
@@ -163,24 +162,6 @@ def smallest_eigenpairs(stiffness, mass, k, tol, seed, t=0.0):
     snap = SpectrumSnapshot(float(t), vals, vecs, residuals, np.asarray(mass, dtype=float))
     _validate_snapshot(snap)
     return snap
-
-
-def dense_eigenpairs(stiffness, mass, k=None):
-    """Brute-force dense generalized eigensolve (test oracle for small n)."""
-    dense = stiffness.toarray() if sparse.issparse(stiffness) else np.asarray(stiffness)
-    vals, vecs = eigh(dense, np.diag(mass))
-    if k is not None:
-        vals, vecs = vals[:k], vecs[:, :k]
-    return vals, vecs
-
-
-def rayleigh_quotient(f, metric):
-    """Dirichlet energy over mass norm, ``(f'Lf) / (f'Mf)``."""
-    stiffness, mass = assemble_operators(metric)
-    f = np.asarray(f, dtype=float)
-    if mass * f @ f == 0.0:
-        raise ZeroDivisionError("rayleigh_quotient of a zero function")
-    return _rayleigh(stiffness, mass, f)
 
 
 def operator_norm_estimate(stiffness, mass, seed=0):

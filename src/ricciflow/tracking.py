@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCrossingError
 from .flow import central_difference, curvature_pde_residual
 
 DEFAULT_OVERLAP_MIN = 0.6
@@ -35,7 +34,7 @@ class BranchSet:
     raw residual of ``law`` (0: the spectral evolution formula, 1: the
     normalization law) along branch ``branches[i]`` at the middle of the
     stencil j-1, j, j+1, NaN at the two ends. The residual statistics read
-    those, or the snapshots' vectors.
+    those alone; a set tracked without fields has none.
     """
 
     times: np.ndarray
@@ -136,8 +135,8 @@ def track_branches(snapshots):
 
     ``snapshots`` is a time-ordered list, fed here to a ``BranchTracker`` of
     every branch, or a tracker already fed, as a run tracks each spectrum
-    when it is solved; a tracker fed curvature fields gives a set with
-    ``stencil_residuals``.
+    when it is solved; only a tracker fed curvature fields gives a set with
+    ``stencil_residuals``, which the residual statistics need.
     """
     tracker = snapshots
     if not isinstance(tracker, BranchTracker):
@@ -220,27 +219,11 @@ def _greedy_assign(overlap, prev_vals, next_vals):
     return assignment, crossing
 
 
-def branch_log_derivative(branch_set, branch, time_index):
-    """Central finite-difference d(log lambda)/dt along one branch.
+def _evolution_stencil(times, values, phi, fld):
+    """Compare d(lambda)/dt with the first-order spectral response along one
+    branch, from its three values and its middle vector ``phi``.
 
-    Needs both time neighbors, and no flag on the three-sample stencil.
-    """
-    times = branch_set.times
-    if not 0 < time_index < times.shape[0] - 1:
-        raise IndexError("central scheme needs both time neighbors")
-    stencil = slice(time_index - 1, time_index + 2)
-    if branch_set.flagged[branch, stencil].any():
-        raise BranchCrossingError(f"branch {branch} is flagged near time index {time_index}")
-    vals = branch_set.values[branch, stencil]
-    if np.any(vals <= 0.0):
-        raise ValueError("log derivative needs positive branch values")
-    return float(central_difference(times[stencil], np.log(vals)))
-
-
-def evolution_formula_residual(trace, branch_set, branch, time_index):
-    """Compare d(lambda)/dt against the first-order spectral response.
-
-    Returns ``(fd, rhs, relative_residual)`` where ``fd`` is the central
+    Returns ``(fd, rhs, relative_residual)``, where ``fd`` is the central
     finite difference of the branch value and
 
         rhs = lambda * sum_i (R_i - r) phi_i^2 dual_i
@@ -248,35 +231,8 @@ def evolution_formula_residual(trace, branch_set, branch, time_index):
     (the mean-zero form; the raw form subtracts ``r * lambda`` from the
     curvature integral). The residual is normalized by
     ``|lambda| * (max|R - r| + 1e-12)``, the natural magnitude of both sides;
-    the 1e-12 keeps the scale positive at constant curvature. Reads the
-    branch's vector from the trace's snapshot, so that snapshot must keep its
-    eigenvectors (KeyError otherwise).
-
-    Raises
-    ------
-    BranchCrossingError
-        If the branch is flagged anywhere on the stencil (no differentiable
-        branch exists through a crossing).
+    the 1e-12 keeps the scale positive at constant curvature.
     """
-    samples = _matching_samples(trace, branch_set)
-    if not 0 < time_index < len(samples) - 1:
-        raise IndexError("need both time neighbors")
-    stencil = slice(time_index - 1, time_index + 2)
-    if branch_set.flagged[branch, stencil].any():
-        raise BranchCrossingError(
-            f"branch {branch} is flagged near time index {time_index}"
-        )
-    return _evolution_stencil(
-        branch_set.times[stencil],
-        branch_set.values[branch, stencil],
-        _vector(branch_set, samples[time_index].spectrum, branch, time_index),
-        samples[time_index].curvature,
-    )
-
-
-def _evolution_stencil(times, values, phi, fld):
-    """``(fd, rhs, relative_residual)`` of ``evolution_formula_residual`` from
-    one branch's three values and middle vector ``phi``."""
     lam = values[1]
     rhs = lam * float(np.sum((fld.R - fld.r) * phi * phi * fld.dual_area))
     fd = float(central_difference(times, values))
@@ -303,24 +259,6 @@ def _branch_stencil(times, values, phis, fld):
     return evolution, _normalization_stencil(times, phis, fld)
 
 
-def _vector(branch_set, snap, branch, j):
-    """Eigenvector of branch ``branch`` at time ``times[j]``, sign fixed, read
-    from ``snap``, the snapshot solved then."""
-    if snap.eigenvectors is None:
-        raise KeyError("this branch set keeps no vectors: its residual stencils "
-                       "were evaluated as it was tracked")
-    return snap.eigenvectors[:, branch_set.columns[branch, j]] * branch_set.signs[branch, j]
-
-
-def _matching_samples(trace, branch_set):
-    """The trace's samples with a spectrum, which must be ``branch_set``'s snapshots."""
-    samples = trace.snapshot_samples()
-    times = branch_set.times
-    if len(samples) != len(times) or any(abs(s.t - t) > 1e-12 for s, t in zip(samples, times)):
-        raise ValueError("branch set does not match the trace's snapshots")
-    return samples
-
-
 def active_interior(samples):
     """Interior sample indices where ``max|R - r|`` is at least 20x its last value.
 
@@ -336,32 +274,29 @@ def active_interior(samples):
 def _law_residuals(trace, branch_set, branches, law):
     """Raw residuals of ``law`` (0 or 1, as in ``_branch_stencil``) along
     ``branches`` at every unflagged stencil of the active phase, snapshot by
-    snapshot. They are read from ``branch_set.stencil_residuals`` where it was
-    tracked with them, and evaluated from the snapshots' vectors otherwise."""
-    samples = _matching_samples(trace, branch_set)
-    table = branch_set.stencil_residuals
-    found = []
-    for j in active_interior(samples):
-        stencil = slice(j - 1, j + 2)
-        for b in branches:
-            if branch_set.flagged[b, stencil].any():
-                continue
-            if table is not None:
-                found.append(table[law, branch_set.row(b), j])
-                continue
-            phis = [_vector(branch_set, samples[i].spectrum, b, i) for i in range(j - 1, j + 2)]
-            residuals = _branch_stencil(
-                branch_set.times[stencil], branch_set.values[b, stencil], phis, samples[j].curvature
-            )
-            found.append(residuals[law])
+    snapshot, read from ``branch_set.stencil_residuals``; ``trace``'s samples
+    with a spectrum must be the set's snapshots."""
+    table, times = branch_set.stencil_residuals, branch_set.times
+    if table is None:
+        raise ValueError("branch set has no stencil_residuals: track its snapshots "
+                         "with their curvature fields")
+    samples = trace.snapshot_samples()
+    if len(samples) != len(times) or any(abs(s.t - t) > 1e-12 for s, t in zip(samples, times)):
+        raise ValueError("branch set does not match the trace's snapshots")
+    found = [
+        table[law, branch_set.row(b), j]
+        for j in active_interior(samples)
+        for b in branches
+        if not branch_set.flagged[b, j - 1 : j + 2].any()
+    ]
     if not found:
         raise ValueError("no unflagged active samples to evaluate")
     return found
 
 
 def evolution_residual_median(trace, branch_set, branches):
-    """Median relative evolution-formula residual (see
-    ``evolution_formula_residual``) over unflagged samples, and their count.
+    """Median relative evolution-formula residual (see ``_evolution_stencil``)
+    over unflagged samples, and their count.
 
     ``branches`` lists branch ids (1 is the first nonzero mode). Samples
     are restricted to the active phase (see ``active_interior``), so the

@@ -8,10 +8,12 @@ from ricciflow import (
     normalize_area,
     perturb_metric,
     run_flow,
-    solve_snapshots,
+    track_branches,
 )
+from ricciflow.tracking import BranchTracker
 
 from meshes import flat_torus_metric, icosphere_metric, tetrahedron_metric
+from oracles import solve_every_sample
 
 
 @pytest.fixture(scope="session")
@@ -49,10 +51,15 @@ def octagon2():
 
 @pytest.fixture(scope="session")
 def run1(octagon2):
-    """One converged level-2 flow with snapshots, shared across tests."""
+    """One converged level-2 flow with snapshots, shared across tests, and its
+    branches 1-5 tracked as a run tracks them, with their residual stencils."""
     metric, window = perturb_metric(octagon2, 0.02, 11)
     config = FlowConfig(spectrum_every=60, k=12, seed=7)
     trace = run_flow(metric, config)
-    solve_snapshots(trace)
+    solve_every_sample(trace)
     assert trace.converged
-    return {"metric": metric, "window": window, "trace": trace, "config": config}
+    tracker = BranchTracker([1, 2, 3, 4, 5])
+    for sample in trace.snapshot_samples():
+        tracker.add(sample.spectrum, sample.curvature)
+    return {"metric": metric, "window": window, "trace": trace, "config": config,
+            "branch_set": track_branches(tracker)}

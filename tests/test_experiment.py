@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ricciflow
 from ricciflow import ConfigError, EigensolverError, HypothesisError, SpectrumSnapshot
 from ricciflow import bounds as bnd
 from ricciflow import errors as errors_module
@@ -37,16 +38,16 @@ from ricciflow.experiment import (
     run_pair_experiment,
 )
 from ricciflow.geometry import curvature_window, perturb_metric, scale_metric
-from ricciflow.reporting import read_report_json, write_report_json
+from ricciflow.reporting import format_float, read_report_json, write_report_json
 from ricciflow.tracking import (
     BranchTracker,
     active_interior,
-    evolution_formula_residual,
     evolution_residual_median,
     normalization_rate_residuals,
     track_branches,
 )
 
+import oracles
 from meshes import flat_torus_metric
 
 
@@ -351,6 +352,14 @@ def test_errors_survive_pickle():
     assert [s.t for s in back.trace.samples] == [s.t for s in exc.trace.samples]
 
 
+def test_package_exports_resolve_once_and_no_test_oracle():
+    names = ricciflow.__all__
+    assert len(set(names)) == len(names) and all(hasattr(ricciflow, name) for name in names)
+    moved = {"dense_eigenpairs", "rayleigh_quotient", "nrf_velocity", "step",
+             "branch_log_derivative", "evolution_formula_residual", "BranchCrossingError"}
+    assert not moved & (set(names) | set(vars(ricciflow)))
+
+
 @pytest.mark.parametrize("kind", ["flow", "pair"])
 def test_surfaces_match_in_process_runs(kind):
     # each flow runs in its own process and its spectra are solved in this
@@ -365,7 +374,7 @@ def test_surfaces_match_in_process_runs(kind):
     for spec, (metric, window, trace, branch_set) in zip(config.perturbations, surfaces):
         expected_metric, expected_window = perturb_metric(base, spec.amplitude, spec.seed)
         expected = flow_module.run_flow(expected_metric, config.flow)
-        flow_module.solve_snapshots(expected)
+        oracles.solve_every_sample(expected)
         checked = bnd.checked_branches(config.flow.k)
         expected_branches = track_branches(expected.snapshots())
         if kind == "flow":  # the pair merges the two windows
@@ -392,16 +401,17 @@ def test_surfaces_match_in_process_runs(kind):
                                   getattr(expected_branches, field)), field
         assert branch_set.branches == tuple(checked)
         # no vectors: the stencils were evaluated as the spectra arrived, and
-        # give the statistics of tracking the whole list
+        # give the statistics that the vector-reading oracle gives over
+        # tracking the whole list
         streamed = BranchTracker(checked)
         for sample in expected.snapshot_samples():
             streamed.add(sample.spectrum, sample.curvature)
         assert np.array_equal(branch_set.stencil_residuals,
                               track_branches(streamed).stencil_residuals, equal_nan=True)
         assert (evolution_residual_median(trace, branch_set, checked)
-                == evolution_residual_median(expected, expected_branches, checked))
+                == oracles.evolution_residual_median(expected, expected_branches, checked))
         assert np.array_equal(normalization_rate_residuals(trace, branch_set, checked),
-                              normalization_rate_residuals(expected, expected_branches, checked))
+                              oracles.law_residuals(expected, expected_branches, checked, 1))
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -456,11 +466,6 @@ def test_experiment_keeps_no_branch_vectors(kind, monkeypatch):
         snapshots = trace.snapshots()
         assert len(snapshots) == len(branch_set.times) > 2
         assert all(snap.eigenvectors is None and snap.mass is None for snap in snapshots)
-        b = checked[0]
-        j = next(j for j in range(1, len(snapshots) - 1)
-                 if not branch_set.flagged[b, j - 1 : j + 2].any())
-        with pytest.raises(KeyError, match="keeps no vectors"):
-            evolution_formula_residual(trace, branch_set, b, j)
         table = branch_set.stencil_residuals
         assert table.shape == (2, len(checked), len(snapshots))
         assert np.isnan(table[:, :, [0, -1]]).all() and np.isfinite(table[:, :, 1:-1]).all()
@@ -486,8 +491,8 @@ def test_experiment_keeps_no_branch_vectors(kind, monkeypatch):
 def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
     # one interior eigensolve fails on each surface: the stencils span the
     # gap, as trace.snapshot_samples() does, the residual statistics equal
-    # those of list-based tracking of an in-process run, bit for bit, and the
-    # curvature-law residual still counts the sample
+    # the vector-reading oracle's over list-based tracking of an in-process
+    # run, bit for bit, and the curvature-law residual still counts the sample
     import ricciflow.experiment as exp
 
     flow = {"spectrum_every": 10, "k": 8, "seed": 3}
@@ -530,12 +535,12 @@ def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
             for i, b in enumerate(checked):
                 if not tracked.flagged[b, j - 1 : j + 2].any():
                     assert (branch_set.stencil_residuals[0, i, j]
-                            == evolution_formula_residual(want, tracked, b, j)[2])
+                            == oracles.evolution_formula(want, tracked, b, j)[2])
         stats = block["residual_stats"]
         assert (stats["evolution_formula_median"], stats["evolution_formula_samples"]) == (
-            evolution_residual_median(want, tracked, checked)
+            oracles.evolution_residual_median(want, tracked, checked)
         )
-        normalization = normalization_rate_residuals(want, tracked, checked)
+        normalization = oracles.law_residuals(want, tracked, checked, 1)
         assert np.array_equal(normalization_rate_residuals(trace, branch_set, checked),
                               normalization)
         assert stats["normalization_median"] == float(np.median(normalization))
@@ -1192,7 +1197,7 @@ def test_pde_residual_median_reads_every_sample(monkeypatch):
         return real(stiffness, mass, k, tol, seed, t=t)
 
     monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
-    flow_module.solve_snapshots(trace)
+    oracles.solve_every_sample(trace)
     samples = trace.samples
     assert len(trace.snapshot_samples()) == len(samples) - 1
     assert trace.samples[3].spectrum is None
@@ -1225,11 +1230,20 @@ def _drop_columns(path, drop):
     path.write_text("".join(",".join(row[j] for j in keep) + "\n" for row in rows))
 
 
-def _set_cell(path, column, text):
-    """Set ``column`` of the first data row of CSV ``path`` to ``text``."""
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    rows[1][rows[0].index(column)] = text
-    path.write_text("".join(",".join(row) + "\n" for row in rows))
+def _edit(name, row, **cells):
+    """A corruption that sets ``cells`` of data row ``row`` (1 is the first)
+    of CSV ``name`` and writes the table back as a run writes it; a callable
+    value is given the row before, as a dict of column -> float."""
+    def corrupt(directory):
+        lines = (directory / name).read_text().splitlines()
+        header = lines[0].split(",")
+        table = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        previous = table[row - 2]
+        table[row - 1].update({k: v(previous) if callable(v) else v for k, v in cells.items()})
+        rows = [",".join(format_float(values[n]) for n in header) for values in table]
+        (directory / name).write_text("\n".join([lines[0], *rows]) + "\n")
+
+    return corrupt
 
 
 @pytest.mark.parametrize(
@@ -1260,8 +1274,24 @@ def _set_cell(path, column, text):
         pytest.param(lambda d: _edit_report(d, lambda r: r.update(inputs=None)), id="inputs_null"),
         # a run writes only finite numbers; a NaN or infinite cell is refused
         # before any check margin could become non-finite
-        pytest.param(lambda d: _set_cell(d / "trace.csv", "R_max", "nan"), id="nan_trace"),
-        pytest.param(lambda d: _set_cell(d / "spectrum.csv", "sorted_1", "inf"), id="inf_spectrum"),
+        pytest.param(_edit("trace.csv", 1, R_max=np.nan), id="nan_trace"),
+        pytest.param(_edit("spectrum.csv", 1, sorted_1=np.inf), id="inf_spectrum"),
+        # nor any of these: a repeated time is a zero step of every finite
+        # difference, the ratio checks divide by the first and the last
+        # snapshot's nonzero modes, and this level-0 mesh has 32 vertices
+        pytest.param(_edit("trace.csv", 3, t=lambda p: p["t"], R_max=lambda p: p["R_max"] + 0.5),
+                     id="trace_t_repeated_R_max_rises"),
+        pytest.param(_edit("trace.csv", 3, t=lambda p: p["t"], R_max=lambda p: p["R_max"] - 0.5),
+                     id="trace_t_repeated_R_max_falls"),
+        pytest.param(_edit("trace.csv", 3, t=0.0), id="trace_t_back_to_0"),
+        pytest.param(_edit("spectrum.csv", 3, t=lambda p: p["t"]), id="spectrum_t_repeated"),
+        pytest.param(_edit("spectrum.csv", 1, sorted_1=0.0), id="sorted_1_zero"),
+        pytest.param(_edit("trace.csv", 2, argmin=7.5), id="argmin_not_integer"),
+        pytest.param(_edit("trace.csv", 2, argmin=-1.0), id="argmin_negative"),
+        pytest.param(_edit("trace.csv", 2, argmax=99999.0), id="argmax_99999"),
+        pytest.param(_edit("trace.csv", 2, argmax=32.0), id="argmax_vertices"),
+        pytest.param(_edit("spectrum.csv", 2, flag_1=2.0), id="flag_2"),
+        pytest.param(_edit("spectrum.csv", 2, flag_1=0.5), id="flag_half"),
     ],
 )
 def test_cli_audit_malformed_artifacts(flow_dir, tmp_path, capsys, corrupt):
