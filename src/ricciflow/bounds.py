@@ -22,7 +22,7 @@ record that live runs build from memory and ``audit`` from stored artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,16 +50,6 @@ class BoundCheck:
             "witness": dict(self.witness),
             "tolerance_used": float(self.tolerance_used),
         }
-
-
-@dataclass
-class BoundReport:
-    checks: list = field(default_factory=list)
-    inputs: dict = field(default_factory=dict)
-
-    @property
-    def all_satisfied(self):
-        return all(c.satisfied for c in self.checks)
 
 
 def _mk_check(name, margins, witnesses, tol):

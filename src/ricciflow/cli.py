@@ -183,9 +183,10 @@ def _cmd_pair(args):
     config = _load_config(args)
     artifacts = run_pair_experiment(config)
     ok = artifacts.report_dict["all_satisfied"]
+    inputs = artifacts.report_dict["inputs"]
     _say(
         args,
-        f"delta_hat={artifacts.delta_hat:.6g} bound_factor={artifacts.bound_factor:.6g} "
+        f"delta_hat={inputs['delta_hat']:.6g} bound_factor={inputs['bound_factor']:.6g} "
         f"checks_satisfied={ok}",
     )
     _say_checks(args, artifacts.report_dict["pair_checks"])

@@ -139,7 +139,6 @@ class FlowArtifacts:
     window: tuple
     trace: object
     branch_set: object
-    report: bnd.BoundReport
     report_dict: dict
 
 
@@ -147,9 +146,6 @@ class FlowArtifacts:
 class PairArtifacts:
     config: ExperimentConfig
     surfaces: tuple
-    delta_hat: float
-    bound_factor: float
-    report: bnd.BoundReport
     report_dict: dict
 
 
@@ -185,8 +181,10 @@ def _run_surfaces(config, base, specs, progress=None):
     as it arrives and tracks its spectrum at once, with the sample's
     curvature field, so that the residual stencils are evaluated as they
     complete. No trace keeps an eigenvector matrix or a mass diagonal, and no
-    branch set keeps a vector. The metric and the curvature window are read
-    from the first sample, the perturbed start state. A flow's own error is
+    branch set keeps a vector. Each trace starts with no warnings, since
+    ``run_flow`` records none; ``solve_snapshots`` adds one per failed interior
+    solve. The metric and the curvature window are read from the first sample,
+    the perturbed start state. A flow's own error is
     raised here, a flow process that dies raises FlowAbortError, and every one
     is joined on every way out.
     """
@@ -241,11 +239,8 @@ def _run_surfaces(config, base, specs, progress=None):
             process.join()
 
     surfaces = []
-    for stored, (steps, converged, warnings), solved, tracker in zip(
-        samples, ends, outcomes, trackers
-    ):
-        trace = FlowTrace(base.mesh, base.base_lengths, config.flow, steps, stored, converged,
-                          warnings)
+    for stored, (steps, converged), solved, tracker in zip(samples, ends, outcomes, trackers):
+        trace = FlowTrace(base.mesh, base.base_lengths, config.flow, steps, stored, converged)
         solve_snapshots(trace, solved)
         surfaces.append((base.with_u(stored[0].u), curvature_window(stored[0].curvature), trace,
                          track_branches(tracker)))
@@ -256,10 +251,10 @@ def _flow_process(pipe, receivers, config, base, spec, report_progress):
     """Perturb ``base`` by ``spec`` and run the flow, which sends each
     ``("sample", FlowSample)`` as it stores it, the start state first, and,
     if asked, ``("progress", t, max_dev, dt)`` down ``pipe``; then send
-    ``("done", steps, converged, warnings)`` or ``("error", exc)``. No message
-    holds more than one sample. The read ends the fork copied, ``receivers``,
-    are closed first, so that once the parent is gone a send raises
-    BrokenPipeError, which ends the process."""
+    ``("done", steps, converged)`` or ``("error", exc)``; ``run_flow`` records
+    no warnings, so none are sent. No message holds more than one sample. The
+    read ends the fork copied, ``receivers``, are closed first, so that once
+    the parent is gone a send raises BrokenPipeError, which ends the process."""
     for receiver in receivers:
         receiver.close()
     try:
@@ -268,7 +263,7 @@ def _flow_process(pipe, receivers, config, base, spec, report_progress):
             progress = (lambda *state: pipe.send(("progress", *state))) if report_progress else None
             trace = run_flow(metric, config.flow, progress=progress,
                              on_sample=lambda s: pipe.send(("sample", s)))
-            pipe.send(("done", trace.steps, trace.converged, trace.warnings))
+            pipe.send(("done", trace.steps, trace.converged))
         except Exception as exc:  # the parent raises it as the flow's own error
             pipe.send(("error", exc))
     except BrokenPipeError:
@@ -276,7 +271,8 @@ def _flow_process(pipe, receivers, config, base, spec, report_progress):
 
 
 def _surface_block(config, window, trace, branch_set):
-    """One surface's BoundReport and report block (inputs, checks, residual stats, warnings)."""
+    """One surface's ``BoundCheck`` list and report block (inputs, checks as
+    dicts, residual stats, warnings); the block is the verdicts' one record."""
     mesh = trace.mesh
     inputs = {
         "alpha": float(window[0]),
@@ -298,7 +294,6 @@ def _surface_block(config, window, trace, branch_set):
     warnings = list(trace.warnings)
     checks, bracket = bnd.surface_checks(trace.steps, vars(branch_set), inputs, warnings)
     inputs["ratio_bracket"] = list(bracket)
-    report = bnd.BoundReport(checks, inputs)
 
     branches = bnd.checked_branches(config.flow.k)
     stats = {"monotonicity_events": len(monotonicity_violations(trace))}
@@ -328,7 +323,7 @@ def _surface_block(config, window, trace, branch_set):
         "residual_stats": stats,
         "warnings": warnings,
     }
-    return report, block
+    return checks, block
 
 
 def run_flow_experiment(config, progress=None):
@@ -339,17 +334,17 @@ def run_flow_experiment(config, progress=None):
     _make_output_dir(config)
     [surface] = _run_surfaces(config, base, config.perturbations, progress)
     metric, window, trace, branch_set = surface
-    report, block = _surface_block(config, window, trace, branch_set)
+    checks, block = _surface_block(config, window, trace, branch_set)
     report_dict = {
         "version": 1,
         "kind": "flow",
         "generated_at": timestamp(),
         **block,
-        "all_satisfied": report.all_satisfied,
+        "all_satisfied": all(c.satisfied for c in checks),
     }
     if config.output_dir:
         _emit(config, report_dict, [("", trace, branch_set)])
-    return FlowArtifacts(config, metric, window, trace, branch_set, report, report_dict)
+    return FlowArtifacts(config, metric, window, trace, branch_set, report_dict)
 
 
 def run_pair_experiment(config):
@@ -374,8 +369,8 @@ def run_pair_experiment(config):
         raise HypothesisError("surfaces do not share the average curvature")
 
     window = (min(w1[0], w2[0]), max(w1[1], w2[1]))
-    rep1, block1 = _surface_block(config, window, tr1, bs1)
-    rep2, block2 = _surface_block(config, window, tr2, bs2)
+    checks1, block1 = _surface_block(config, window, tr1, bs1)
+    checks2, block2 = _surface_block(config, window, tr2, bs2)
 
     q_hat, delta_hat = bnd.distortion_upper_bound(tr1.limit, tr2.limit)
     checks, factor = bnd.pair_checks(
@@ -385,7 +380,6 @@ def run_pair_experiment(config):
     shared = ("alpha", "beta", "r", "area", "chi", "genus", "vertices", "c_disc", "tol_ratio", "k")
     inputs = {key: block1["inputs"][key] for key in shared}
     inputs.update(delta_hat=float(delta_hat), q_hat=float(q_hat), bound_factor=float(factor))
-    combined = bnd.BoundReport(rep1.checks + rep2.checks + checks, inputs)
     report_dict = {
         "version": 1,
         "kind": "pair",
@@ -394,18 +388,11 @@ def run_pair_experiment(config):
         "surface_1": block1,
         "surface_2": block2,
         "pair_checks": [c.as_dict() for c in checks],
-        "all_satisfied": combined.all_satisfied,
+        "all_satisfied": all(c.satisfied for c in checks1 + checks2 + checks),
     }
     if config.output_dir:
         _emit(config, report_dict, [("surface_1", tr1, bs1), ("surface_2", tr2, bs2)])
-    return PairArtifacts(
-        config,
-        ((m1, window, tr1, bs1), (m2, window, tr2, bs2)),
-        delta_hat,
-        factor,
-        combined,
-        report_dict,
-    )
+    return PairArtifacts(config, ((m1, window, tr1, bs1), (m2, window, tr2, bs2)), report_dict)
 
 
 def _make_output_dir(config):

@@ -66,19 +66,24 @@ class ConformalMetric:
 class CurvatureField:
     """Pointwise discrete curvature data of one metric.
 
-    ``defect`` is the angle defect (integrated Gaussian curvature) per
-    vertex, ``dual_area`` the barycentric dual area, and ``R`` the scalar
-    curvature ``2 * defect / dual_area``. ``r`` is the average scalar
-    curvature ``4 * pi * chi / total_area``, constant under the flow.
+    ``dual_area`` is the barycentric dual area per vertex and ``R`` the
+    scalar curvature ``2 * defect / dual_area``, where ``defect`` is the angle
+    defect (integrated Gaussian curvature), derived from the two on reading
+    rather than stored. ``r`` is the average scalar curvature
+    ``4 * pi * chi / total_area``, constant under the flow.
     """
 
-    defect: np.ndarray
     dual_area: np.ndarray
     R: np.ndarray
     r: float
     R_min: float
     R_max: float
     total_area: float
+
+    @property
+    def defect(self):
+        """Angle defect per vertex, ``R * dual_area / 2``."""
+        return self.R * self.dual_area / 2.0
 
     def max_deviation(self):
         """sup |R - r|."""
@@ -183,11 +188,9 @@ class MeshKernel:
         angles = np.arctan2(4.0 * area, cos_terms)
         angle_sum = self.corner_sum @ angles.reshape(-1)
         dual = self.dual_sum @ area
-        defect = 2.0 * np.pi - angle_sum
-        scalar = 2.0 * defect / dual
+        scalar = 2.0 * (2.0 * np.pi - angle_sum) / dual
         total = float(area.sum())
         return CurvatureField(
-            defect=defect,
             dual_area=dual,
             R=scalar,
             r=self.four_pi_chi / total,
@@ -219,7 +222,6 @@ class MeshKernel:
         """``field`` of a metric scaled by ``c`` (areas x c) to total area
         ``target_area``, without re-measuring: angles, hence defects, stay."""
         return CurvatureField(
-            defect=field.defect,
             dual_area=field.dual_area * c,
             R=field.R / c,
             r=self.four_pi_chi / target_area,

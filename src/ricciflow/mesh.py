@@ -104,22 +104,19 @@ class TriangleMesh:
             bad = edges[np.argmax(counts < 2)]
             raise BoundaryEdgeError(f"edge {tuple(bad)} has only one triangle")
 
-        # With every undirected edge used twice, a repeated *directed* edge
-        # means the two triangles traverse it the same way.
-        directed_keys = heads * vertex_count + tails
-        if np.unique(directed_keys).size != directed_keys.size:
-            dup = directed_keys[
-                np.argmax(np.bincount(directed_keys - directed_keys.min()) > 1)
-            ]
+        # Pair up the two half-edges of each edge, in half-edge scan order.
+        # With every undirected edge used twice, a pair whose half-edges share
+        # a head means the two triangles traverse the edge the same way.
+        pairs = np.argsort(inverse, kind="stable").reshape(-1, 2)
+        same = heads[pairs[:, 0]] == heads[pairs[:, 1]]
+        if same.any():
+            dup = (heads * vertex_count + tails)[pairs[same, 0]].min()
             raise NonOrientableError(
-                "inconsistently oriented triangles at directed edge id "
-                f"{int(dup)}"
+                f"inconsistently oriented triangles at directed edge id {int(dup)}"
             )
 
         self.edges = edges
-        # Pair up the two half-edges of each edge, in half-edge scan order.
-        order = np.argsort(inverse, kind="stable")
-        self.edge_triangles = he_tri[order].reshape(-1, 2)
+        self.edge_triangles = he_tri[pairs]
         # Side k joins corners (k, k+1); the edge opposite corner k is side k+1.
         side_edges = inverse.reshape(3, f_count).T
         self.triangle_edges = side_edges[:, [1, 2, 0]]

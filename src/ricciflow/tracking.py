@@ -312,9 +312,11 @@ def dual_area_rate_residuals(trace):
     Evaluated by central differences across full samples, restricted to the
     active phase (see ``active_interior``) and to vertices where
     ``|R_i - r|`` is at least 0.1 times the current deviation (elsewhere
-    both sides are numerically zero and their ratio is noise).
+    both sides are numerically zero and their ratio is noise). The rate
+    needs no spectrum, so every stored sample counts, including one whose
+    eigensolve failed.
     """
-    samples = trace.snapshot_samples()
+    samples = trace.samples
     errors = []
     for j in active_interior(samples):
         mid = samples[j].curvature

@@ -11,14 +11,9 @@ def tetrahedron_metric(edge_length=1.0):
     return ConformalMetric.flat(mesh, np.full(6, float(edge_length)))
 
 
-def flat_torus_metric(n):
-    """Unit-square flat torus on an n x n grid, diagonal split (n >= 3).
-
-    Grid edges have length 1/n, diagonals sqrt(2)/n; every angle defect is
-    exactly zero and the genus is 1.
-    """
-    if n < 3:
-        raise ValueError("n >= 3 keeps the triangulation simplicial")
+def torus_triangles(n):
+    """Triangles of the n x n torus grid, vertex ``n i + j`` at grid point
+    ``(i, j)``; square ``(i, j)`` holds triangles ``2 (n i + j)`` and the next."""
 
     def vid(i, j):
         return (i % n) * n + (j % n)
@@ -28,7 +23,18 @@ def flat_torus_metric(n):
         for j in range(n):
             tris.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
             tris.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    mesh = TriangleMesh(n * n, tris)
+    return np.array(tris)
+
+
+def flat_torus_metric(n):
+    """Unit-square flat torus on an n x n grid, diagonal split (n >= 3).
+
+    Grid edges have length 1/n, diagonals sqrt(2)/n; every angle defect is
+    exactly zero and the genus is 1.
+    """
+    if n < 3:
+        raise ValueError("n >= 3 keeps the triangulation simplicial")
+    mesh = TriangleMesh(n * n, torus_triangles(n))
 
     h = 1.0 / n
     lengths = np.empty(mesh.edge_count)

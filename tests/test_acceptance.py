@@ -179,14 +179,14 @@ def test_criterion_07_curvature_pde_refinement(level2, level3):
 
 
 def test_criterion_08_envelopes(level3):
-    checks = {c.name: c for c in level3.report.checks}
+    checks = {c["name"]: c for c in level3.report_dict["checks"]}
     for name in (
         "curvature_envelope_lower",
         "curvature_envelope_upper",
         "curvature_stays_below_beta",
     ):
-        assert checks[name].satisfied, name
-        assert checks[name].worst_margin >= 0.0
+        assert checks[name]["satisfied"], name
+        assert checks[name]["worst_margin"] >= 0.0
 
     # the checker must flag a fabricated violating trace with a witness
     t = np.linspace(0.0, 1.0, 50)
@@ -205,16 +205,16 @@ def test_criterion_08_envelopes(level3):
 
 
 def test_criterion_09_log_derivative_corridor(level3):
-    check = {c.name: c for c in level3.report.checks}["log_derivative_corridor"]
-    assert check.satisfied
-    assert check.worst_margin >= 0.0
+    check = {c["name"]: c for c in level3.report_dict["checks"]}["log_derivative_corridor"]
+    assert check["satisfied"]
+    assert check["worst_margin"] >= 0.0
     _passed(9, "log-derivative corridor")
 
 
 def test_criterion_10_ratio_bound(level3):
-    check = {c.name: c for c in level3.report.checks}["eigenvalue_ratio_window"]
-    assert check.satisfied
-    lo, hi = level3.report.inputs["ratio_bracket"]
+    check = {c["name"]: c for c in level3.report_dict["checks"]}["eigenvalue_ratio_window"]
+    assert check["satisfied"]
+    lo, hi = level3.report_dict["inputs"]["ratio_bracket"]
     alpha, beta = level3.window
     r = level3.trace.r
     assert np.isclose(lo, np.exp(-alpha / r), rtol=1e-12)

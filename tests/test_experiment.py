@@ -42,6 +42,7 @@ from ricciflow.reporting import format_float, read_report_json, write_report_jso
 from ricciflow.tracking import (
     BranchTracker,
     active_interior,
+    dual_area_rate_residuals,
     evolution_residual_median,
     normalization_rate_residuals,
     track_branches,
@@ -159,8 +160,8 @@ def test_pair_experiment_identical_specs(tmp_path):
     )
     config = ExperimentConfig.from_dict(data)
     artifacts = run_pair_experiment(config)
-    assert artifacts.delta_hat < 1e-9  # identical surfaces, identical limits
     report = artifacts.report_dict
+    assert report["inputs"]["delta_hat"] < 1e-9  # identical surfaces, identical limits
     assert report["all_satisfied"]
     mt = [c for c in report["pair_checks"] if c["name"] == "spectral_comparison_main"][0]
     assert mt["satisfied"]
@@ -355,9 +356,11 @@ def test_errors_survive_pickle():
 def test_package_exports_resolve_once_and_no_test_oracle():
     names = ricciflow.__all__
     assert len(set(names)) == len(names) and all(hasattr(ricciflow, name) for name in names)
-    moved = {"dense_eigenpairs", "rayleigh_quotient", "nrf_velocity", "step",
-             "branch_log_derivative", "evolution_formula_residual", "BranchCrossingError"}
-    assert not moved & (set(names) | set(vars(ricciflow)))
+    # moved to the test oracles, or gone: report_dict is the one verdict record
+    gone = {"dense_eigenpairs", "rayleigh_quotient", "nrf_velocity", "step",
+            "branch_log_derivative", "evolution_formula_residual", "BranchCrossingError",
+            "BoundReport"}
+    assert not gone & (set(names) | set(vars(ricciflow)))
 
 
 @pytest.mark.parametrize("kind", ["flow", "pair"])
@@ -475,13 +478,13 @@ def test_experiment_keeps_no_branch_vectors(kind, monkeypatch):
     n = surfaces[0][2].mesh.vertex_count
     for tag, *body in messages:
         arrays = list(_arrays(body))
-        if tag == "sample":  # one state, without a spectrum: u, defect, dual area and R
+        if tag == "sample":  # one state, without a spectrum: u, dual area and R
             [sample] = body
             assert isinstance(sample, flow_module.FlowSample) and sample.spectrum is None
-            assert [a.shape for a in arrays] == [(n,)] * 4
+            assert [a.shape for a in arrays] == [(n,)] * 3
         elif tag == "done":  # the per-step columns, and no sample
-            steps, converged, warnings = body
-            assert isinstance(converged, bool) and isinstance(warnings, list)
+            steps, converged = body
+            assert isinstance(converged, bool)
             assert [id(a) for a in arrays] == [id(a) for a in steps.values()]
         else:
             assert arrays == []
@@ -492,7 +495,8 @@ def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
     # one interior eigensolve fails on each surface: the stencils span the
     # gap, as trace.snapshot_samples() does, the residual statistics equal
     # the vector-reading oracle's over list-based tracking of an in-process
-    # run, bit for bit, and the curvature-law residual still counts the sample
+    # run, bit for bit, and the curvature-law residual and the volume-form
+    # rate, which need no spectrum, still count the sample
     import ricciflow.experiment as exp
 
     flow = {"spectrum_every": 10, "k": 8, "seed": 3}
@@ -522,6 +526,11 @@ def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
         surfaces = [(tr, bs, block) for (_, _, tr, bs), block in zip(artifacts.surfaces, blocks)]
     checked = bnd.checked_branches(config.flow.k)
     for want, (trace, branch_set, block) in zip(expected, surfaces):
+        unfailed = replace(want, samples=list(want.samples), warnings=[])
+        flow_module.solve_snapshots(
+            unfailed, [real(want.mesh, want.base_lengths, config.flow, s.t, s.u)
+                       for s in want.samples]
+        )
         flow_module.solve_snapshots(
             want, [solve(want.mesh, want.base_lengths, config.flow, s.t, s.u) for s in want.samples]
         )
@@ -546,6 +555,9 @@ def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
         assert stats["normalization_median"] == float(np.median(normalization))
         assert 3 in active_interior(want.samples)
         assert stats["pde_residual_median"] == pde_residual_median(want)
+        assert stats["volume_form_median"] == float(
+            np.median(dual_area_rate_residuals(unfailed))
+        )
 
 
 @pytest.mark.parametrize("kind", ["flow", "pair"])
@@ -884,6 +896,16 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "PerturbationError"
+
+
+def test_cli_flow_on_a_non_orientable_off_is_machine_readable(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    off = os.path.join(os.path.dirname(__file__), "data", "torus_reversed_face.off")
+    _write_config(cfg, _config_dict(mesh={"off": off}))
+    assert cli_main(["flow", "--config", str(cfg), "--quiet"]) == 2
+    [line] = capsys.readouterr().out.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "NonOrientableError" and "2284" in payload["message"]
 
 
 def test_cli_rejects_nan_amplitude(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ricciflow import (
 )
 from ricciflow import mesh as mesh_module
 
-from meshes import BOUNDARY_OFF, NON_MANIFOLD_OFF, NON_ORIENTABLE_OFF, TETRA_OFF
+from meshes import BOUNDARY_OFF, NON_MANIFOLD_OFF, NON_ORIENTABLE_OFF, TETRA_OFF, torus_triangles
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -56,6 +57,30 @@ def test_boundary_edge_rejected():
 def test_inconsistent_orientation_rejected():
     with pytest.raises(NonOrientableError):
         load_off(io.StringIO(NON_ORIENTABLE_OFF))
+
+
+@pytest.mark.parametrize("face, key", [(0, 9), (70, 2284), (127, 63)])
+def test_reversed_face_names_its_smallest_repeated_directed_edge(face, key):
+    # on the 8 x 8 torus, reversing one face repeats its three directed
+    # edges (head * 64 + tail) in its neighbours: face 0's are 9, 512 and 584
+    tris = torus_triangles(8)
+    tris[face] = tris[face][::-1]
+    with pytest.raises(NonOrientableError, match=f"directed edge id {key}$"):
+        TriangleMesh(64, tris)
+
+
+def test_orientation_check_memory_does_not_grow_with_v_squared():
+    # V = 4,900: a table over all V^2 directed keys would take 192 MB
+    tris = torus_triangles(70)
+    tris[70] = tris[70][::-1]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonOrientableError):
+            TriangleMesh(70 * 70, tris)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_disconnected_mesh_rejected():
