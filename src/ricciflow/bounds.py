@@ -82,6 +82,14 @@ def _ratio_window(name, numerator, denominator, lo, hi, tol):
     return _mk_check(name, margins, lambda i: {"time": None, "index": int(i + 1)}, tol)
 
 
+def _require_window(alpha, r, beta):
+    """The hypothesis of every curvature-window bound; HypothesisError names the values."""
+    if not alpha < r < beta < 0.0:
+        raise HypothesisError(
+            f"need alpha < r < beta < 0, got ({alpha:.4g}, {r:.4g}, {beta:.4g})"
+        )
+
+
 def mean_edge_length(trace):
     metric = trace.metric_at(0)
     return float(np.mean(current_lengths(metric)))
@@ -99,10 +107,7 @@ def envelope_check(t, r_min, r_max, r, alpha, beta, tol, argmin=None, argmax=Non
     time, so checking them loses nothing. ``argmin``/``argmax`` name those
     vertices for the witnesses; without them a witness has no index.
     """
-    if not alpha < r < beta < 0.0:
-        raise HypothesisError(
-            f"need alpha < r < beta < 0, got ({alpha:.4g}, {r:.4g}, {beta:.4g})"
-        )
+    _require_window(alpha, r, beta)
     t = np.asarray(t, dtype=float)
     r_min = np.asarray(r_min, dtype=float)
     r_max = np.asarray(r_max, dtype=float)
@@ -156,8 +161,7 @@ def log_derivative_corridor_check(times, values, flagged, r, alpha, beta, h, bra
     that adds the finite-difference truncation scale ``(dt |r|)^2 |r|`` to
     the envelope allowance ``c_disc * h^2 * |r|``.
     """
-    if not alpha < r < beta < 0.0:
-        raise HypothesisError("need alpha < r < beta < 0")
+    _require_window(alpha, r, beta)
     times = np.asarray(times, dtype=float)
     margins, tols, witnesses = [], [], []
     for b, j in _corridor_stencils(values, flagged, branches):
@@ -193,8 +197,7 @@ def ratio_bound_check(mu_start, mu_end, alpha, beta, r, tol_ratio=DEFAULT_TOL_RA
 
     Area-independent; indices start at the first nonzero mode.
     """
-    if not alpha < r < beta < 0.0:
-        raise HypothesisError("need alpha < r < beta < 0")
+    _require_window(alpha, r, beta)
     with np.errstate(over="ignore"):
         lo, hi = float(np.exp(-alpha / r)), float(np.exp(r / beta))
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -237,8 +240,7 @@ def buser_comparison_check(spec1, spec2, delta, tol_ratio=DEFAULT_TOL_RATIO):
 
 def main_theorem_factor(alpha, beta, r, delta):
     """The two-sided comparison factor e^{alpha/r + r/beta + 4 delta}."""
-    if not alpha < r < beta < 0.0:
-        raise HypothesisError("need alpha < r < beta < 0")
+    _require_window(alpha, r, beta)
     if delta < 0.0:
         raise HypothesisError("delta must be non-negative")
     log_factor = alpha / r + r / beta + 4.0 * delta

@@ -20,9 +20,9 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from . import bounds as bnd
-from .errors import ConfigError, FlowAbortError, HypothesisError
+from .errors import ConfigError, EigensolverError, FlowAbortError, HypothesisError
 from .flow import FlowConfig, FlowTrace, integer_at_least, monotonicity_violations, real_number
-from .flow import run_flow, solve_sample, solve_snapshots
+from .flow import run_flow, solve_sample
 from .geometry import ConformalMetric, curvature_window, normalize_area, perturb_metric
 from .mesh import generate_genus2, load_off
 from .reporting import (
@@ -177,22 +177,33 @@ def _run_surfaces(config, base, specs, progress=None):
     """One ``(metric, window, trace, branch_set)`` per perturbation spec of ``base``.
 
     Each flow runs in its own ``_flow_process``, which sends each sample as it
-    stores it; this process builds the trace from those samples, solves each
-    as it arrives and tracks its spectrum at once, with the sample's
-    curvature field, so that the residual stencils are evaluated as they
-    complete. No trace keeps an eigenvector matrix or a mass diagonal, and no
-    branch set keeps a vector. Each trace starts with no warnings, since
-    ``run_flow`` records none; ``solve_snapshots`` adds one per failed interior
-    solve. The metric and the curvature window are read from the first sample,
-    the perturbed start state. A flow's own error is
-    raised here, a flow process that dies raises FlowAbortError, and every one
-    is joined on every way out.
+    stores it; this process solves each sample as it arrives, tracks its
+    spectrum at once with the sample's curvature field, so that the residual
+    stencils are evaluated as they complete, and stores the sample with its
+    spectrum, without eigenvectors or mass. The metric and the curvature
+    window are read from the first sample.
+
+    Each failed solve is decided here, as it is made. At an interior sample
+    the spectrum stays None and the trace gets a warning. The checks read the
+    spectra at the start and at the end of the flow, so a failed first solve
+    raises EigensolverError at once, which stops the flows, and a failed last
+    solve raises it once that flow's ``done`` has arrived; any other error of
+    a solve is raised at once. So is a flow's own error; a flow process that
+    dies raises FlowAbortError, and every one is joined on every way out.
     """
     context = fork_context()
-    processes, pipes, pending = [], {}, []  # pending: (surface, sample) not yet solved
+    # pending: (surface, kind, body) of each sample not yet solved and of each
+    # "done", which is decided once the samples sent before it are solved
+    processes, pipes, pending = [], {}, []
     ends = [None] * len(specs)
-    samples, outcomes = [[] for _ in specs], [[] for _ in specs]
+    samples, warnings = [[] for _ in specs], [[] for _ in specs]
+    failures = [None] * len(specs)  # each flow's latest failed solve
     trackers = [BranchTracker(bnd.checked_branches(config.flow.k)) for _ in specs]
+
+    def no_spectrum(sample, exc):
+        message = f"no spectrum at t={sample.t:.6g}, which the checks need: {exc}"
+        raise EigensolverError(message, exc.best_residual) from exc
+
     try:
         for i, spec in enumerate(specs):
             receiver, sender = context.Pipe(duplex=False)
@@ -212,25 +223,37 @@ def _run_surfaces(config, base, specs, progress=None):
                         raise FlowAbortError(
                             f"a flow worker process ended abruptly; unflowed surfaces: [{i + 1}]"
                         ) from None
-                    if kind == "sample":
-                        samples[i].append(body[0])
-                        pending.append((i, body[0]))
-                    elif kind == "progress":
+                    if kind == "progress":
                         progress(*body)
                     elif kind == "error":
                         raise body[0]
-                    else:  # "done"
-                        ends[i] = body
-                        del pipes[pipe]
-                        pipe.close()
+                    else:  # "sample" or "done"
+                        pending.append((i, kind, body))
+                        if kind == "done":
+                            del pipes[pipe]
+                            pipe.close()
             if pending:
-                i, sample = pending.pop(0)
-                outcome = solve_sample(base.mesh, base.base_lengths, config.flow, sample.t,
-                                       sample.u)
-                if not isinstance(outcome, Exception):  # a failure is left to solve_snapshots
-                    trackers[i].add(outcome, sample.curvature)
-                    outcome = replace(outcome, eigenvectors=None, mass=None)
-                outcomes[i].append(outcome)
+                i, kind, body = pending.pop(0)
+                if kind == "done":
+                    ends[i] = body
+                    if samples[i][-1].spectrum is None:
+                        no_spectrum(samples[i][-1], failures[i])
+                    continue
+                [sample] = body
+                try:
+                    snap = solve_sample(base.mesh, base.base_lengths, config.flow, sample.t,
+                                        sample.u)
+                except EigensolverError as exc:
+                    if sample.step == 0:
+                        no_spectrum(sample, exc)
+                    warnings[i].append(f"eigensolver failed at t={sample.t:.6g}: {exc}")
+                    failures[i] = exc
+                else:
+                    trackers[i].add(snap, sample.curvature)
+                    # drop the vectors now, not at the next solve: they would raise its peak
+                    snap = replace(snap, eigenvectors=None, mass=None)
+                    sample = replace(sample, spectrum=snap)
+                samples[i].append(sample)
     finally:
         for pipe, i in pipes.items():
             processes[i].terminate()
@@ -239,9 +262,9 @@ def _run_surfaces(config, base, specs, progress=None):
             process.join()
 
     surfaces = []
-    for stored, (steps, converged), solved, tracker in zip(samples, ends, outcomes, trackers):
-        trace = FlowTrace(base.mesh, base.base_lengths, config.flow, steps, stored, converged)
-        solve_snapshots(trace, solved)
+    for stored, (steps, converged), warned, tracker in zip(samples, ends, warnings, trackers):
+        trace = FlowTrace(base.mesh, base.base_lengths, config.flow, steps, stored, converged,
+                          warned)
         surfaces.append((base.with_u(stored[0].u), curvature_window(stored[0].curvature), trace,
                          track_branches(tracker)))
     return surfaces
@@ -252,9 +275,11 @@ def _flow_process(pipe, receivers, config, base, spec, report_progress):
     ``("sample", FlowSample)`` as it stores it, the start state first, and,
     if asked, ``("progress", t, max_dev, dt)`` down ``pipe``; then send
     ``("done", steps, converged)`` or ``("error", exc)``; ``run_flow`` records
-    no warnings, so none are sent. No message holds more than one sample. The
-    read ends the fork copied, ``receivers``, are closed first, so that once
-    the parent is gone a send raises BrokenPipeError, which ends the process."""
+    no warnings, so none are sent. A sample message holds one sample, but a
+    ``FlowAbortError`` carries the partial trace as ``exc.trace``, so its
+    error message holds every sample stored so far once more. The read ends
+    the fork copied, ``receivers``, are closed first, so that once the parent
+    is gone a send raises BrokenPipeError, which ends the process."""
     for receiver in receivers:
         receiver.close()
     try:

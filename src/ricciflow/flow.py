@@ -10,18 +10,18 @@ curvature mode and the time left to ``t_max``; steps that break a triangle
 inequality are rejected and retried at half size, and a step size below
 ``DT_MIN`` aborts the run. ``run_flow`` stores full states without spectra
 and hands each one, as it is stored, to ``on_sample``. ``solve_sample``
-solves one stored state, and ``solve_snapshots`` fills in the spectra of a
-trace in time order from such solves, made while the flow ran.
+solves one stored state, or raises; the caller that solves the samples while
+the flow runs decides what a failed solve means.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field as _field, replace
+from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-from .errors import EigensolverError, FlowAbortError, HypothesisError, TriangleInequalityError
+from .errors import FlowAbortError, HypothesisError, TriangleInequalityError
 from .geometry import ConformalMetric, CurvatureField
 from .spectrum import EIG_TOL, assemble_operators, operator_norm_estimate, smallest_eigenpairs
 
@@ -87,7 +87,8 @@ def integer_at_least(value, low, name):
 @dataclass(frozen=True)
 class FlowSample:
     """Full state stored at snapshot cadence (plus first and last step);
-    ``solve_snapshots`` sets ``spectrum``, None where the eigensolve failed."""
+    ``spectrum`` is None until the caller that solves it stores a copy with
+    its spectrum, and stays None where the eigensolve failed."""
 
     step: int
     t: float
@@ -101,9 +102,9 @@ class FlowTrace:
     """Result of one flow run.
 
     Scalar curvature statistics are recorded at every accepted step in the
-    columnar ``steps`` arrays; full per-vertex states (with spectra, once
-    ``solve_snapshots`` has run) only at snapshot cadence in ``samples``,
-    which keeps long runs in memory.
+    columnar ``steps`` arrays; full per-vertex states (with spectra, once a
+    caller has solved them) only at snapshot cadence in ``samples``, which
+    keeps long runs in memory. ``warnings`` names each failed interior solve.
     """
 
     mesh: object
@@ -178,7 +179,8 @@ def run_flow(metric, config, progress=None, on_sample=None):
     -------
     FlowTrace
         Samples at step 0, every ``spectrum_every`` accepted steps and the
-        last accepted step, all with ``spectrum=None`` (see ``solve_snapshots``).
+        last accepted step, all with ``spectrum=None`` and no warnings
+        (``solve_sample`` solves a sample).
 
     Raises
     ------
@@ -272,41 +274,11 @@ def run_flow(metric, config, progress=None, on_sample=None):
     return finish()
 
 
-def solve_snapshots(trace, outcomes):
-    """Fill in the spectrum of every stored sample of ``trace``, in time order.
-
-    ``outcomes`` holds one ``solve_sample`` result per sample of ``trace``, in
-    time order, as a caller solved the samples while the flow ran (from
-    ``run_flow``'s ``on_sample``).
-
-    This is the one place that decides what a failed eigensolve means. At an
-    interior sample it records a warning and leaves the spectrum None. The
-    first and the last samples are the spectra at the start and at the end of
-    the flow, which the ratio and comparison checks read and no other sample
-    may stand in for, so a failure there raises :class:`EigensolverError`.
-    Any other exception a solve raised is raised again here.
-    """
-    last = len(trace.samples) - 1
-    for i, (s, outcome) in enumerate(zip(trace.samples, outcomes, strict=True)):
-        if isinstance(outcome, EigensolverError):
-            if i in (0, last):
-                message = f"no spectrum at t={s.t:.6g}, which the checks need: {outcome}"
-                raise EigensolverError(message, outcome.best_residual) from outcome
-            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {outcome}")
-        elif isinstance(outcome, Exception):
-            raise outcome
-        else:
-            trace.samples[i] = replace(s, spectrum=outcome)
-
-
 def solve_sample(mesh, base_lengths, config, t, u):
-    """The ``SpectrumSnapshot`` of state ``u`` at time ``t``, or the exception
-    its solve raised, which ``solve_snapshots`` alone turns into an outcome."""
-    try:
-        stiffness, mass = assemble_operators(ConformalMetric(mesh, base_lengths, u))
-        return smallest_eigenpairs(stiffness, mass, config.k, tol=EIG_TOL, seed=config.seed, t=t)
-    except Exception as exc:
-        return exc
+    """The ``SpectrumSnapshot`` of state ``u`` at time ``t``; a failed solve
+    raises, and the caller decides what the failure means."""
+    stiffness, mass = assemble_operators(ConformalMetric(mesh, base_lengths, u))
+    return smallest_eigenpairs(stiffness, mass, config.k, tol=EIG_TOL, seed=config.seed, t=t)
 
 
 def rf_nrf_time_map(area0, chi, tau):

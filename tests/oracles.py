@@ -2,11 +2,14 @@
 calls them. The residual stencils here read the snapshots' eigenvectors,
 which a run drops once it has tracked them."""
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 
-from ricciflow.flow import _rk4, central_difference, solve_sample, solve_snapshots
+from ricciflow.errors import EigensolverError
+from ricciflow.flow import _rk4, central_difference, solve_sample
 from ricciflow.tracking import _branch_stencil, _evolution_stencil, active_interior
 
 
@@ -29,9 +32,17 @@ def rk4_step(metric, dt):
 
 
 def solve_every_sample(trace):
-    """Fill in ``trace``'s spectra with every sample solved here, in time order."""
+    """Fill in ``trace``'s spectra with every sample solved here, in time order.
+
+    A failed interior solve leaves its sample without a spectrum and adds the
+    warning a run adds; the first and the last samples are not meant to fail.
+    """
     inputs = trace.mesh, trace.base_lengths, trace.config
-    solve_snapshots(trace, [solve_sample(*inputs, s.t, s.u) for s in trace.samples])
+    for i, s in enumerate(trace.samples):
+        try:
+            trace.samples[i] = replace(s, spectrum=solve_sample(*inputs, s.t, s.u))
+        except EigensolverError as exc:
+            trace.warnings.append(f"eigensolver failed at t={s.t:.6g}: {exc}")
 
 
 def _stencil(branch_set, branch, j):

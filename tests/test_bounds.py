@@ -66,9 +66,23 @@ def test_envelope_flags_fabricated_violation():
     assert not lower.satisfied  # R-max excursion also pierces the decay means
 
 
-def test_envelope_hypothesis_validation():
-    with pytest.raises(HypothesisError):
-        envelope_check([0.0], [-2.0], [-2.0], -2.0, -1.5, -1.0, tol=0.0)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda a, b, r: envelope_check([0.0], [-2.0], [-2.0], r, a, b, tol=0.0),
+        lambda a, b, r: log_derivative_corridor_check(
+            [0.0, 0.5, 1.0], np.ones((2, 3)), np.zeros((2, 3), dtype=bool), r, a, b, h=0.0,
+            branches=[1], c_disc=0.0,
+        ),
+        lambda a, b, r: ratio_bound_check([1.0], [1.0], a, b, r),
+        lambda a, b, r: main_theorem_factor(a, b, r, 0.0),
+    ],
+    ids=["envelope", "corridor", "ratio", "main_theorem"],
+)
+def test_window_hypothesis_error_names_the_three_values(check):
+    # alpha = -1.5 lies above r = -2: every curvature-window bound refuses it alike
+    with pytest.raises(HypothesisError, match=r"^need alpha < r < beta < 0, got \(-1.5, -2, -1\)$"):
+        check(-1.5, -1.0, -2.0)
 
 
 def test_rmax_ode_trivial_and_fabricated():

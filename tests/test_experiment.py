@@ -24,7 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ricciflow
-from ricciflow import ConfigError, EigensolverError, HypothesisError, SpectrumSnapshot
+from ricciflow import (
+    ConfigError,
+    EigensolverError,
+    HypothesisError,
+    SpectrumSnapshot,
+    TriangleInequalityError,
+)
 from ricciflow import bounds as bnd
 from ricciflow import errors as errors_module
 from ricciflow import flow as flow_module
@@ -491,14 +497,44 @@ def test_experiment_keeps_no_branch_vectors(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["flow", "pair"])
+@pytest.mark.parametrize("error", [EigensolverError, TriangleInequalityError])
+def test_a_failed_start_solve_stops_the_flows(kind, error, monkeypatch):
+    # the checks need the spectrum at t = 0, so a failed start solve raises
+    # as it is made and stops the flows, which, with no flow converging,
+    # would otherwise run to t_max for nothing and send their "done"
+    messages = []
+    real_recv = Connection.recv
+    real = flow_module.smallest_eigenpairs
+
+    def recv(self):
+        messages.append(real_recv(self))
+        return messages[-1]
+
+    def solver(stiffness, mass, k, tol, seed, t=0.0):
+        if t == 0.0:
+            raise error("injected failure")
+        return real(stiffness, mass, k, tol, seed, t=t)
+
+    monkeypatch.setattr(Connection, "recv", recv)
+    monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
+    monkeypatch.setattr(flow_module, "CONVERGENCE_TOL", 0.0)
+    flow = {"t_max": 5, "spectrum_every": 10, "k": 8, "seed": 3}
+    config = ExperimentConfig.from_dict(
+        _kind_config(kind, mesh={"generator": "genus2", "level": 1}, flow=flow)
+    )
+    with pytest.raises(error):
+        _run_kind(kind, config)
+    tags = Counter(tag for tag, *_ in messages)
+    assert "done" not in tags, tags
+
+
+@pytest.mark.parametrize("kind", ["flow", "pair"])
 def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
     # one interior eigensolve fails on each surface: the stencils span the
     # gap, as trace.snapshot_samples() does, the residual statistics equal
     # the vector-reading oracle's over list-based tracking of an in-process
     # run, bit for bit, and the curvature-law residual and the volume-form
     # rate, which need no spectrum, still count the sample
-    import ricciflow.experiment as exp
-
     flow = {"spectrum_every": 10, "k": 8, "seed": 3}
     config = ExperimentConfig.from_dict(
         _kind_config(kind, mesh={"generator": "genus2", "level": 1}, flow=flow)
@@ -508,15 +544,18 @@ def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
         flow_module.run_flow(perturb_metric(base, s.amplitude, s.seed)[0], config.flow)
         for s in config.perturbations
     ]
+    unfailed = [replace(want, samples=list(want.samples), warnings=[]) for want in expected]
+    for trace in unfailed:
+        oracles.solve_every_sample(trace)
     failing = {trace.samples[3].t for trace in expected}
-    real = exp.solve_sample
+    real = flow_module.smallest_eigenpairs
 
-    def solve(mesh, base_lengths, flow_config, t, u):
+    def solver(stiffness, mass, k, tol, seed, t=0.0):
         if t in failing:
-            return EigensolverError("injected failure")
-        return real(mesh, base_lengths, flow_config, t, u)
+            raise EigensolverError("injected failure")
+        return real(stiffness, mass, k, tol, seed, t=t)
 
-    monkeypatch.setattr(exp, "solve_sample", solve)
+    monkeypatch.setattr(flow_module, "smallest_eigenpairs", solver)
     if kind == "flow":
         artifacts = run_flow_experiment(config)
         surfaces = [(artifacts.trace, artifacts.branch_set, artifacts.report_dict)]
@@ -525,15 +564,8 @@ def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
         blocks = [artifacts.report_dict[f"surface_{i}"] for i in (1, 2)]
         surfaces = [(tr, bs, block) for (_, _, tr, bs), block in zip(artifacts.surfaces, blocks)]
     checked = bnd.checked_branches(config.flow.k)
-    for want, (trace, branch_set, block) in zip(expected, surfaces):
-        unfailed = replace(want, samples=list(want.samples), warnings=[])
-        flow_module.solve_snapshots(
-            unfailed, [real(want.mesh, want.base_lengths, config.flow, s.t, s.u)
-                       for s in want.samples]
-        )
-        flow_module.solve_snapshots(
-            want, [solve(want.mesh, want.base_lengths, config.flow, s.t, s.u) for s in want.samples]
-        )
+    for want, solved, (trace, branch_set, block) in zip(expected, unfailed, surfaces):
+        oracles.solve_every_sample(want)
         tracked = track_branches(want.snapshots())
         assert trace.samples[3].spectrum is None and want.samples[3].spectrum is None
         assert trace.warnings == want.warnings and len(want.warnings) == 1
@@ -556,7 +588,7 @@ def test_streamed_statistics_skip_a_failed_interior_solve(kind, monkeypatch):
         assert 3 in active_interior(want.samples)
         assert stats["pde_residual_median"] == pde_residual_median(want)
         assert stats["volume_form_median"] == float(
-            np.median(dual_area_rate_residuals(unfailed))
+            np.median(dual_area_rate_residuals(solved))
         )
 
 
