@@ -256,8 +256,8 @@ def _read_text(source):
 # Genus-2 generator
 #
 # The model surface is the regular hyperbolic octagon with interior angles
-# 2*pi/8 and the standard side pairing a b a' b' c d c' d'. All eight corners
-# glue to a single point with total angle 2*pi, so the glued surface carries
+# 2*pi/8, its sides glued by a pairing given as data. When all eight corners
+# glue to a single point with total angle 2*pi, the glued surface carries
 # a smooth metric of curvature -1. Points live on the hyperboloid model, and
 # every derived point is built inside the chart of one triangle, which keeps
 # all geodesic lengths intrinsic.
@@ -282,6 +282,8 @@ def _read_text(source):
 # combinatorics allows.
 RING_A_RADIUS = 1.00
 RING_B_RADIUS = 0.52
+# Side i joins corners i and i+1; this pairing glues a b a' b' c d c' d'.
+COMMUTATOR_PAIRING = ((0, 2), (1, 3), (4, 6), (5, 7))
 
 def generate_genus2(subdivision_level):
     """Build an intrinsic genus-2 triangulation with hyperbolic edge lengths.
@@ -301,7 +303,7 @@ def generate_genus2(subdivision_level):
     level = int(subdivision_level)
     if level < 0:
         raise ValueError("subdivision_level must be non-negative")
-    nv, tv, txyz = _octagon_base()
+    nv, tv, txyz = _octagon_base(COMMUTATOR_PAIRING)
     for _ in range(level):
         nv, tv, txyz = _barycentric_subdivide(nv, tv, txyz)
     mesh, lengths = _extract_mesh(nv, tv, txyz)
@@ -337,7 +339,7 @@ def _polar_point(radius, angle):
     )
 
 
-def _octagon_base():
+def _octagon_base(pairing):
     # Circumradius of the regular octagon with angle pi/4: cosh R = cot^2(pi/8).
     circ = np.arccosh((1.0 + np.sqrt(2.0)) ** 2)
     corners = [_polar_point(circ, i * np.pi / 4.0) for i in range(8)]
@@ -384,17 +386,15 @@ def _octagon_base():
     tris = np.array(tris, dtype=np.int64)
 
     # Orient everything counterclockwise in the disk chart.
-    flat = coords[:, 1:] / coords[:, :1]
-    for t in range(tris.shape[0]):
-        x0, x1, x2 = flat[tris[t]]
-        a, b = x1 - x0, x2 - x0
-        if a[0] * b[1] - a[1] * b[0] < 0.0:
-            tris[t] = tris[t, ::-1]
+    x0, x1, x2 = (coords[tris[:, c], 1:] / coords[tris[:, c], :1] for c in range(3))
+    a, b = x1 - x0, x2 - x0
+    clockwise = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] < 0.0
+    tris[clockwise] = tris[clockwise, ::-1]
 
-    # Side pairing of a b a' b' c d c' d': sides (0,2), (1,3), (4,6), (5,7).
     # The gluing reverses orientation, so each side's five points zip against
     # its partner's points in reverse order.
-    sigma = {0: 2, 2: 0, 1: 3, 3: 1, 4: 6, 6: 4, 5: 7, 7: 5}
+    if sorted(side for pair in pairing for side in pair) != list(range(8)):
+        raise MeshInvariantError(f"pairing {pairing} does not use each of the 8 sides once")
     parent = list(range(coords.shape[0]))
 
     def find(x):
@@ -406,8 +406,8 @@ def _octagon_base():
     def side_points(i):
         return [k_ids[i], p_ids[i], m_ids[i], q_ids[i], k_ids[(i + 1) % 8]]
 
-    for i in (i for i in range(8) if i < sigma[i]):
-        for a, b in zip(side_points(i), side_points(sigma[i])[::-1]):
+    for i, j in pairing:
+        for a, b in zip(side_points(i), side_points(j)[::-1]):
             parent[find(a)] = find(b)
 
     roots = [find(v) for v in range(coords.shape[0])]

@@ -195,54 +195,90 @@ def test_generator_negative_curvature(level):
 
 
 # sha256 of triangles.tobytes() and edges.tobytes() (int64), then the sum of
-# the base lengths and of their squares. Any change to the generator's vertex
-# or edge numbering, or to its chart arithmetic, moves these.
+# the base lengths and of their squares, then the sha256 of lengths.tobytes()
+# (float64). Any change to the generator's vertex or edge numbering, or to its
+# chart arithmetic, moves these. numpy evaluates sinh, cosh and arccosh with
+# AVX-512 kernels where the CPU has them and with baseline kernels elsewhere
+# (or under NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"); the two
+# round differently in the last bit, so each level pins one length hash per
+# kernel set.
 GENERATOR_PINS = {
     0: (
         "e449a615c72c3866446b6a997a7eaeb23a3a015cacc3b414037b5804cc2fcb1b",
         "68f768b661954fcb0bc84fc04d55ee61ce7c7298e67529582e22cbb7ef78cf32",
         71.49611054757409,
         52.67562218749353,
+        {
+            "4aaa23f024719830408d66282445d23f744a1ef7581126d1c4c8b16025d8a8dd",  # AVX-512
+            "0632c4a7ac41ad9a94e6bea2956cec78fe8ae877f6d114e51202ebff060b4b63",  # baseline
+        },
     ),
     1: (
         "8a1d70be79cef02ab76a400afe6284f0ea8cccd1b2e34f40b08a554dac4c4541",
         "c5ea687bb3e94e49a1a2efe143518a57f00dc533ff264e24cf7fd7b29eb64f73",
         193.58130980457776,
         69.8960735307507,
+        {
+            "805115e5ed9426f31573d642a90bb2f54e36a286ff60a7fc36fda83d8d363a64",  # AVX-512
+            "650e1d798bc95c47ae55a70265d3769b8ce2f7a4bb77a9d3efa38b2db5cf9a17",  # baseline
+        },
     ),
     2: (
         "df39a9c261cbd984c1b65ac8068897f80e0c339a86c4f72c92c7642b23e9ce08",
         "fb5156b1171022f08f4bfc063b8807c0bea1b41e5f6f7afe87115898087a4625",
         533.357461912431,
         98.35714160136362,
+        {
+            "62068b3f82c8bcd3369493704257ab59dc8b86c32e4a76720a159107a690187c",  # AVX-512
+            "2d16e9a4ecd11a00cc5181de66de866fcf6ef6db8b05ce40d38fa6f4cd05ce92",  # baseline
+        },
     ),
     3: (
         "6e4db4dff8b66ffc212cfda4f58d871447370daba6b79957ea186fe895c91328",
         "af1badd492849054c197b90498d865eed35f9b5c2fcfe385b7c7a80103844ce1",
         1451.6782997808532,
         137.99813093119383,
+        {
+            "870c19495939b8dce10f329911e722f3393f275b45ff20bc1a6b2494e161dd44",  # AVX-512
+            "f3e19670fbe8d33c636d3082cd0f0f9b1467c77c1e02531971bc58b175b7b29a",  # baseline
+        },
     ),
 }
 
 
 @pytest.mark.parametrize("level", sorted(GENERATOR_PINS))
 def test_generator_output_pinned(level):
-    tri_sha, edge_sha, length_sum, square_sum = GENERATOR_PINS[level]
+    tri_sha, edge_sha, length_sum, square_sum, length_shas = GENERATOR_PINS[level]
     mesh, lengths = generate_genus2(level)
     assert hashlib.sha256(mesh.triangles.tobytes()).hexdigest() == tri_sha
     assert hashlib.sha256(mesh.edges.tobytes()).hexdigest() == edge_sha
     assert lengths.sum() == pytest.approx(length_sum, rel=1e-12)
     assert (lengths**2).sum() == pytest.approx(square_sum, rel=1e-12)
+    assert hashlib.sha256(lengths.tobytes()).hexdigest() in length_shas
 
 
 def test_generator_rejects_charts_that_disagree():
     # each triangle measures its sides in its own chart, so a glued edge is
     # measured twice; moving one chart point breaks the isometry
-    nv, tv, txyz = mesh_module._octagon_base()
+    nv, tv, txyz = mesh_module._octagon_base(mesh_module.COMMUTATOR_PAIRING)
     txyz = txyz.copy()
     txyz[0, 0] = mesh_module._geodesic_point(txyz[0, 0], txyz[0, 1], 0.01)
     with pytest.raises(MeshInvariantError):
         mesh_module._extract_mesh(nv, tv, txyz)
+
+
+@pytest.mark.parametrize(
+    "pairing",
+    [
+        pytest.param(((0, 2), (0, 3), (4, 6), (5, 7)), id="side_twice"),
+        pytest.param(((0, 2), (1, 3), (4, 6)), id="side_missing"),
+        # each side used once, but the corners do not glue to one point: 36 classes
+        pytest.param(((0, 1), (2, 3), (4, 5), (6, 7)), id="adjacent"),
+    ],
+)
+def test_generator_rejects_bad_pairing(pairing):
+    with pytest.raises(MeshInvariantError):
+        mesh_module._octagon_base(pairing)
 
 
 def test_validation_idempotent():
