@@ -90,11 +90,12 @@ def _cmd_gen(args):
     from .errors import ConfigError
     from .flow import integer_at_least
     from .geometry import ConformalMetric, measure_curvature
-    from .mesh import generate_genus2
+    from .mesh import MAX_LEVEL, generate_genus2
     from .reporting import write_report_json
 
     try:
-        integer_at_least(args.level, 0, "level")
+        if integer_at_least(args.level, 0, "level") > MAX_LEVEL:
+            raise ValueError(f"level must be at most {MAX_LEVEL}, got {args.level}")
     except ValueError as exc:
         raise ConfigError(f"invalid --level: {exc}") from exc
     mesh, base_lengths = generate_genus2(args.level)

@@ -24,7 +24,7 @@ from .errors import ConfigError, EigensolverError, FlowAbortError, HypothesisErr
 from .flow import FlowConfig, FlowTrace, integer_at_least, monotonicity_violations, real_number
 from .flow import run_flow, solve_sample
 from .geometry import ConformalMetric, curvature_window, normalize_area, perturb_metric
-from .mesh import generate_genus2, load_off
+from .mesh import MAX_LEVEL, generate_genus2, load_off
 from .reporting import (
     json_object,
     timestamp,
@@ -93,7 +93,8 @@ class ExperimentConfig:
 def _fields(data):
     top = {"version", "mesh", "area", "perturbations", "flow", "output_dir"}
     json_object(data, "config", top)
-    if data.get("version") != 1:
+    # the integer 1: JSON true and 1.0 compare equal to 1 but are not it
+    if type(data.get("version")) is not int or data["version"] != 1:
         raise ConfigError("config requires 'version': 1")
 
     mesh = json_object(data.get("mesh", {}), "mesh", {"generator", "level", "off"})
@@ -109,6 +110,8 @@ def _fields(data):
         if mesh.get("generator", "genus2") != "genus2":
             raise ConfigError("only the 'genus2' generator is available")
         level = integer_at_least(mesh.get("level", 2), 0, "mesh level")
+        if level > MAX_LEVEL:
+            raise ConfigError(f"mesh level must be at most {MAX_LEVEL}, got {level}")
     if data.get("area", "minus_two_pi_chi") != "minus_two_pi_chi":
         raise ConfigError("only the 'minus_two_pi_chi' area is available")
 

@@ -282,6 +282,9 @@ def _read_text(source):
 # combinatorics allows.
 RING_A_RADIUS = 1.00
 RING_B_RADIUS = 0.52
+# Each level allocates about 6x the last: level 3 peaks near 6 MB, level 4
+# near 36 MB, so a level above this one is refused before anything is built.
+MAX_LEVEL = 5
 # Side i joins corners i and i+1; this pairing glues a b a' b' c d c' d'.
 COMMUTATOR_PAIRING = ((0, 2), (1, 3), (4, 6), (5, 7))
 
@@ -291,8 +294,8 @@ def generate_genus2(subdivision_level):
     Parameters
     ----------
     subdivision_level : int
-        Number of barycentric refinements of the base complex
-        (level 0 has V=32, E=102, F=68).
+        Number of barycentric refinements of the base complex, from 0
+        (V=32, E=102, F=68) to ``MAX_LEVEL``.
 
     Returns
     -------
@@ -301,8 +304,8 @@ def generate_genus2(subdivision_level):
         The induced discrete curvature is strictly negative at every vertex.
     """
     level = int(subdivision_level)
-    if level < 0:
-        raise ValueError("subdivision_level must be non-negative")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"subdivision_level must be in [0, {MAX_LEVEL}], got {level}")
     nv, tv, txyz = _octagon_base(COMMUTATOR_PAIRING)
     for _ in range(level):
         nv, tv, txyz = _barycentric_subdivide(nv, tv, txyz)
@@ -386,8 +389,8 @@ def _octagon_base(pairing):
     tris = np.array(tris, dtype=np.int64)
 
     # Orient everything counterclockwise in the disk chart.
-    x0, x1, x2 = (coords[tris[:, c], 1:] / coords[tris[:, c], :1] for c in range(3))
-    a, b = x1 - x0, x2 - x0
+    flat = coords[:, 1:] / coords[:, :1]
+    a, b = flat[tris[:, 1]] - flat[tris[:, 0]], flat[tris[:, 2]] - flat[tris[:, 0]]
     clockwise = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] < 0.0
     tris[clockwise] = tris[clockwise, ::-1]
 

@@ -10,10 +10,22 @@ from ricciflow import (
     run_flow,
     track_branches,
 )
+from ricciflow import mesh as mesh_module
 from ricciflow.tracking import BranchTracker
 
 from meshes import flat_torus_metric, icosphere_metric, tetrahedron_metric
 from oracles import solve_every_sample
+
+
+@pytest.fixture
+def no_subdivision(monkeypatch):
+    """Make any barycentric subdivision fail: a mesh level that a range
+    check lets through raises at once instead of allocating ~6x per level."""
+
+    def refuse(*args):
+        raise AssertionError("a subdivided mesh was built")
+
+    monkeypatch.setattr(mesh_module, "_barycentric_subdivide", refuse)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import numpy as np
 
 from ricciflow import ConformalMetric, TriangleMesh
+from ricciflow import mesh as mesh_module
 
 
 def tetrahedron_metric(edge_length=1.0):
@@ -44,6 +45,20 @@ def flat_torus_metric(n):
         dj = min((coords[a, 1] - coords[b, 1]) % n, (coords[b, 1] - coords[a, 1]) % n)
         lengths[e] = h * np.sqrt(di * di + dj * dj)
     return ConformalMetric.flat(mesh, lengths)
+
+
+# The generator's regular octagon with opposite sides glued is the Bolza
+# surface, the most symmetric genus-2 surface.
+BOLZA_PAIRING = ((0, 4), (1, 5), (2, 6), (3, 7))
+
+
+def bolza_surface(level):
+    """The Bolza surface subdivided ``level`` times: ``(mesh, base lengths)``,
+    built exactly as the generator builds its own surface."""
+    nv, tv, txyz = mesh_module._octagon_base(BOLZA_PAIRING)
+    for _ in range(level):
+        nv, tv, txyz = mesh_module._barycentric_subdivide(nv, tv, txyz)
+    return mesh_module._extract_mesh(nv, tv, txyz)
 
 
 _ICO_FACES = [

@@ -958,6 +958,9 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
         pytest.param(_config_dict(emit={"plot_data": "no"}), [], id="emit_str"),
         pytest.param(_config_dict(mesh={"level": "x"}), [], id="level_str"),
         pytest.param(_config_dict(mesh={"level": -1}), [], id="level_negative"),
+        pytest.param(_config_dict(mesh={"level": 40}), [], id="level_huge"),
+        pytest.param(_config_dict(version=True), [], id="version_true"),
+        pytest.param(_config_dict(version=1.0), [], id="version_float"),
         pytest.param(_config_dict(perturbations=[{"seed": "abc"}]), [], id="pert_seed_str"),
         pytest.param(_config_dict(perturbations=[{"seed": -3}]), [], id="pert_seed_negative"),
         pytest.param(_config_dict(flow={"k": "12"}), [], id="k_str"),
@@ -983,8 +986,9 @@ def test_cli_rejects_nan_amplitude(tmp_path, capsys):
         pytest.param(_config_dict(checks={"c_disc": 10.0, "tol_ratio": 0.02}), [], id="checks"),
     ],
 )
-def test_cli_rejects_wrong_typed_config(tmp_path, capsys, data, extra):
-    # a value of the wrong type or range is a ConfigError (exit 2), not a traceback
+def test_cli_rejects_wrong_typed_config(tmp_path, capsys, no_subdivision, data, extra):
+    # a value of the wrong type or range is a ConfigError (exit 2), not a
+    # traceback; every config accepted here is level 0, which subdivides nothing
     cfg = tmp_path / "config.json"
     _write_config(cfg, data)
     assert cli_main(["flow", "--config", str(cfg), "--quiet", *extra]) == 2
@@ -1566,8 +1570,9 @@ def test_cli_gen(tmp_path, capsys):
     assert len(payload["base_lengths"]) == 102
 
 
-def test_cli_gen_rejects_negative_level(tmp_path, capsys):
-    assert cli_main(["gen", "--level", "-1", "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("level", ["-1", "6"])
+def test_cli_gen_rejects_level_out_of_range(tmp_path, capsys, no_subdivision, level):
+    assert cli_main(["gen", "--level", level, "--out", str(tmp_path)]) == 2
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"

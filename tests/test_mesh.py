@@ -335,6 +335,12 @@ def test_triangle_edges_oppose_corners():
             assert set(edge) < set(mesh.triangles[t])
 
 
+@pytest.mark.parametrize("level", [-1, 6])
+def test_generator_rejects_level_outside_range(no_subdivision, level):
+    with pytest.raises(ValueError):
+        generate_genus2(level)
+
+
 def test_mesh_arrays_immutable():
     mesh, _ = generate_genus2(0)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from ricciflow import (
     ConformalMetric,
     assemble_operators,
     generate_genus2,
+    measure_curvature,
     normalize_area,
     perturb_metric,
     scale_metric,
@@ -15,7 +16,7 @@ from ricciflow import (
 
 from ricciflow.spectrum import _rayleigh
 
-from meshes import flat_torus_metric, icosphere_metric
+from meshes import bolza_surface, flat_torus_metric, icosphere_metric
 from oracles import dense_eigenpairs
 
 
@@ -235,3 +236,36 @@ def test_k_range_validated(octagon0):
     stiffness, mass = assemble_operators(octagon0)
     with pytest.raises(ValueError):
         smallest_eigenpairs(stiffness, mass, octagon0.mesh.vertex_count // 2, tol=1e-8, seed=0)
+
+
+# The first three distinct eigenvalues of the Bolza surface at curvature -1
+# and their multiplicities (Strohmaier and Uski 2013, Comm. Math. Phys. 317).
+BOLZA_CLUSTERS = ((3.8388872588, 3), (5.3536013412, 4), (8.2495548152, 2))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_bolza_surface_is_hyperbolic_genus2(level):
+    # bolza_surface itself requires 32 vertex classes and glued half-edges
+    # that agree in length
+    mesh, lengths = bolza_surface(level)
+    assert mesh.chi == -2
+    assert level > 0 or mesh.vertex_count == 32
+    assert (measure_curvature(ConformalMetric.flat(mesh, lengths)).R < 0.0).all()
+
+
+def test_bolza_spectrum_oracle():
+    # lambda_1..lambda_9 of the cotangent Laplacian at area 4 pi (curvature
+    # about -1) against the published values; the level-2 worst error is
+    # 2.9% and the level-3 one 1.5%, so refinement must also shrink every
+    # cluster's spread toward its exact multiplicity
+    values, counts = zip(*BOLZA_CLUSTERS)
+    want = np.repeat(values, counts)
+    spreads = []
+    for level, tol in ((2, 0.035), (3, 0.02)):
+        mesh, lengths = bolza_surface(level)
+        metric = normalize_area(ConformalMetric.flat(mesh, lengths), 4.0 * np.pi)
+        stiffness, mass = assemble_operators(metric)
+        lam = smallest_eigenpairs(stiffness, mass, 12, tol=1e-8, seed=3).eigenvalues[1:10]
+        assert np.abs(lam / want - 1.0).max() <= tol
+        spreads.append([np.ptp(c) / c.mean() for c in np.split(lam, np.cumsum(counts)[:-1])])
+    assert all(fine < coarse for coarse, fine in zip(*spreads))
